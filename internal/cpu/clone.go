@@ -43,6 +43,7 @@ func (m *Machine) Clone() *Machine {
 		unalpHand: m.unalpHand,
 
 		windowCount: m.windowCount,
+		windowDead:  m.windowDead,
 		reserved:    m.reserved,
 
 		rrCursor:     m.rrCursor,
@@ -68,6 +69,8 @@ func (m *Machine) Clone() *Machine {
 	c.hArena = append([]handlerCtx(nil), m.hArena...)
 	c.hFree = append([]hIdx(nil), m.hFree...)
 	c.window = append([]uopIdx(nil), m.window...)
+	c.cal = m.cal.clone()
+	c.ready = append([]schedEvent(nil), m.ready...)
 	c.handlers = append([]hIdx(nil), m.handlers...)
 	c.hZombies = append([]hIdx(nil), m.hZombies...)
 	for i := range c.hArena {
@@ -168,6 +171,9 @@ func (m *Machine) Reset() {
 	}
 	m.window = m.window[:0]
 	m.windowCount = 0
+	m.windowDead = 0
+	m.cal.reset()
+	m.ready = m.ready[:0]
 	m.reserved = 0
 	m.handlers = m.handlers[:0]
 	m.hZombies = m.hZombies[:0]
@@ -177,8 +183,6 @@ func (m *Machine) Reset() {
 	m.seqCounter = 0
 	m.appRetired = 0
 	m.lastProgress = 0
-	m.readyScratch = m.readyScratch[:0]
-	m.doneScratch = m.doneScratch[:0]
 	m.orderScratch = m.orderScratch[:0]
 
 	m.cancel = nil

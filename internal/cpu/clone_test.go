@@ -154,6 +154,45 @@ func TestCloneEquivalenceMidRun(t *testing.T) {
 	}
 }
 
+// TestCloneEquivalenceMidSchedule: the clone point is a cycle where
+// the event-driven scheduler is busy — ready instructions left waiting
+// for a functional unit, completions pending on the calendar, consumers
+// linked on their producers' wakeup chains — and that state must carry
+// over exactly.
+func TestCloneEquivalenceMidSchedule(t *testing.T) {
+	p := gen.Generate(4600, gen.Limits{MaxPages: 64, NoFault: true, NoUnaligned: true})
+	for _, mech := range []Mechanism{MechTraditional, MechMultithreaded, MechHardware} {
+		contexts := 1
+		if mech == MechMultithreaded {
+			contexts = 2
+		}
+		cfg := cloneTestConfig(mech, contexts, false)
+		cfg.IntALUs, cfg.MemPorts = 1, 1 // ready instructions queue for units
+		m, tid := buildGenMachine(t, cfg, p)
+		stepUntil(t, m, 200_000, "busy scheduler", func() bool {
+			waiting, executing, chained := false, false, false
+			for _, e := range m.ready {
+				if u := m.uopAt(e.r); u != nil && u.stage == stageWindow {
+					waiting = true
+				}
+			}
+			m.cal.each(func(e schedEvent) {
+				if u := m.uopAt(e.r); u != nil && u.stage == stageIssued {
+					executing = true
+				}
+			})
+			for i := range m.uops {
+				chained = chained || m.uops[i].wakeHead != 0
+			}
+			return m.now > 300 && waiting && executing && chained
+		})
+		clone := m.Clone()
+		got := finishRun(t, clone, tid)
+		want := finishRun(t, m, tid)
+		checkOutcome(t, mech.String()+"/midschedule", got, want)
+	}
+}
+
 // TestCloneEquivalenceTwoLevel: the property holds over a two-level
 // page table, whose walks keep more intermediate state in flight.
 func TestCloneEquivalenceTwoLevel(t *testing.T) {

@@ -8,33 +8,35 @@ import (
 // complete processes instructions whose execution finishes by this
 // cycle: branch resolution (with mispredict squash), TLB writes,
 // traditional-handler returns, hard-exception reversion, and hardware
-// walk completions.
+// walk completions. It visits only the calendar events due this
+// cycle: completions, and register-read gates that make a dispatched
+// instruction an issue candidate.
 func (m *Machine) complete() {
-	done := m.doneScratch[:0]
-	for _, i := range m.window {
-		u := m.at(i)
-		if u.stage == stageIssued && u.doneAt <= m.now {
-			//lint:allow hotpathlint append into capacity-retained scratch; grows only until the window's high-water mark
-			done = append(done, i)
+	due := m.cal.slot(m.now)
+	if m.cfg.CheckInvariants {
+		m.checkDueAgainstScan(due)
+	}
+	// Events due now are in seq order, so an older mispredict squashes
+	// younger completions before their (wrong-path) side effects apply.
+	for _, e := range due {
+		if e.at != m.now {
+			m.cal.add(e, m.now) // parked beyond the horizon
+			continue
+		}
+		u := m.uopAt(e.r)
+		if u == nil {
+			continue // squashed and recycled
+		}
+		switch u.stage {
+		case stageWindow:
+			m.wake(u) // the register-read delay has elapsed
+		case stageIssued:
+			u.stage = stageDone
+			m.wakeConsumers(u)
+			m.completeSideEffects(u)
 		}
 	}
-	// Oldest first: an older mispredict squashes younger completions
-	// before their (wrong-path) side effects apply. The window is
-	// nearly fetch-ordered, so insertion sort runs in linear time.
-	for i := 1; i < len(done); i++ {
-		for j := i; j > 0 && m.at(done[j]).seq < m.at(done[j-1]).seq; j-- {
-			done[j], done[j-1] = done[j-1], done[j]
-		}
-	}
-	m.doneScratch = done
-	for _, di := range done {
-		u := m.at(di)
-		if u.stage != stageIssued {
-			continue // squashed by an older completion this cycle
-		}
-		u.stage = stageDone
-		m.completeSideEffects(u)
-	}
+	m.cal.clear(m.now)
 	if m.cfg.Mech == MechHardware {
 		m.completeWalks()
 	}
@@ -71,8 +73,7 @@ func (m *Machine) completeSideEffects(u *uop) {
 		}
 		if mu := m.uopAt(ctx.master); mu != nil && mu.stage == stageWindow {
 			mu.dtlbWait = false
-			mu.stage = stageIssued
-			mu.doneAt = m.now + 1
+			m.markIssued(mu, m.now+1)
 			if ctx.span != nil && ctx.span.FillAt == 0 {
 				// The destination write is the service point of an
 				// emulation/unaligned exception.

@@ -57,9 +57,16 @@ type Machine struct {
 	threads []thread
 	ras     []*bpred.RAS // per-context return address stacks
 
-	window      []uopIdx // dispatched, unretired instructions (unsorted)
+	window      []uopIdx // dispatched, unretired instructions, dispatch order
 	windowCount int      // occupancy charged against WindowSize
+	windowDead  int      // retired/squashed window entries awaiting compactWindow
 	reserved    int      // slots reserved for in-flight handlers
+
+	// Event-driven scheduling state (sched.go): timed gate and
+	// completion events, and the ready list — a prefix sorted by
+	// (schedSeq, seq) followed by an unsorted tail of woken candidates.
+	cal   calendar
+	ready []schedEvent
 
 	handlers []hIdx // live exception handlers / walks, spawn order
 	// hZombies holds reaped-but-unrecycled handler contexts: a spent
@@ -123,13 +130,8 @@ type Machine struct {
 	faultArmed bool
 	faultRec   FaultRecord
 
-	// scratch reused each cycle; contents are dead between uses, only
-	// the capacity is retained (Clone resets them to empty). These
-	// hold indices, not pointers: the issue and complete loops that
-	// consume them can allocate uops (handler spawns, traps) and grow
-	// the arena mid-iteration, which would invalidate *uop entries.
-	readyScratch []uopIdx
-	doneScratch  []uopIdx
+	// orderScratch is reused each cycle; its contents are dead between
+	// uses, only the capacity is retained (Clone resets it to empty).
 	orderScratch []int // thread ids, ICOUNT dispatch order
 
 	// hot caches lazily bound handles on the per-cycle statistics so
@@ -694,6 +696,7 @@ func (m *Machine) windowFreeFor(t *thread) bool {
 func (m *Machine) addToWindow(u *uop, when uint64) {
 	u.stage = stageWindow
 	u.windowAt = when
+	m.wake(u)
 	//lint:allow hotpathlint window slice reuses capacity bounded by WindowSize; grows only at warm-up
 	m.window = append(m.window, u.idx)
 	if !(u.excFetch && m.cfg.Limit == LimitNoWindow) {
@@ -708,64 +711,10 @@ func (m *Machine) addToWindow(u *uop, when uint64) {
 	}
 }
 
-// compactWindow drops retired/squashed entries out of the window
-// slice and recycles their storage. Occupancy is decremented eagerly
-// by retire/squash; this drops the handles and releases the uops —
-// by this point they have left the inflight, fetch-buffer and
-// store-buffer structures (see releaseUop).
-func (m *Machine) compactWindow() {
-	w := m.window[:0]
-	for _, i := range m.window {
-		u := m.at(i)
-		if u.stage != stageRetired && u.stage != stageSquashed {
-			//lint:allow hotpathlint in-place compaction into the window's own backing array; never grows
-			w = append(w, i)
-		} else {
-			m.releaseUop(u)
-		}
-	}
-	m.window = w
-}
-
 // releaseWindowSlot gives back u's occupancy charge.
 func (m *Machine) releaseWindowSlot(u *uop) {
 	if u.excFetch && m.cfg.Limit == LimitNoWindow {
 		return
 	}
 	m.windowCount--
-}
-
-// collectReady gathers window-resident instructions ready to issue,
-// oldest fetched first (the paper's scheduling policy).
-func (m *Machine) collectReady() []uopIdx {
-	regRead := uint64(m.cfg.RegReadStages)
-	ready := m.readyScratch[:0]
-	for _, i := range m.window {
-		u := m.at(i)
-		if u.stage != stageWindow {
-			continue
-		}
-		if m.uopReady(u, m.now, regRead) {
-			//lint:allow hotpathlint append into capacity-retained scratch (readyScratch); amortized zero alloc
-			ready = append(ready, i)
-		}
-	}
-	// Insertion sort on (schedSeq, seq): the window is scanned in
-	// dispatch order, so the list is nearly sorted already and the
-	// sort runs in linear time without sort.Slice's allocations.
-	for i := 1; i < len(ready); i++ {
-		for j := i; j > 0 && uopLess(m.at(ready[j]), m.at(ready[j-1])); j-- {
-			ready[j], ready[j-1] = ready[j-1], ready[j]
-		}
-	}
-	m.readyScratch = ready
-	return ready
-}
-
-// uopLess orders uops oldest scheduled age first, ties by fetch order.
-func uopLess(a, b *uop) bool {
-	if a.schedSeq != b.schedSeq {
-		return a.schedSeq < b.schedSeq
-	}
-	return a.seq < b.seq
 }

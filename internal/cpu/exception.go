@@ -450,6 +450,7 @@ func (m *Machine) wakeWaiters(ctx *handlerCtx) {
 	if mu := m.uopAt(ctx.master); mu != nil && mu.stage != stageSquashed {
 		mu.dtlbWait = false
 		mu.wokeAt = m.now
+		m.wake(mu)
 		m.Stats.Histogram("fill.latency").Observe(int64(m.now - mu.missAt))
 	}
 	for _, wi := range ctx.waiters {
@@ -457,6 +458,7 @@ func (m *Machine) wakeWaiters(ctx *handlerCtx) {
 		if w.stage != stageSquashed {
 			w.dtlbWait = false
 			w.wokeAt = m.now
+			m.wake(w)
 		}
 	}
 }
@@ -499,6 +501,7 @@ func (m *Machine) killHandler(ctx *handlerCtx) {
 		mu.handlerBy = hRef{}
 		if mu.stage != stageSquashed && mu.dtlbWait && !ctx.filled {
 			mu.dtlbWait = false // re-issue, re-detect
+			m.wake(mu)
 		}
 	}
 	for _, wi := range ctx.waiters {
@@ -507,6 +510,7 @@ func (m *Machine) killHandler(ctx *handlerCtx) {
 			w.handlerBy = hRef{}
 			if w.stage != stageSquashed && w.dtlbWait && !ctx.filled {
 				w.dtlbWait = false
+				m.wake(w)
 			}
 		}
 	}

@@ -230,8 +230,11 @@ func (m *Machine) execFunctional(t *thread, u *uop) {
 	// dependency is already satisfied.
 	ns := 0
 	addSrc := func(w depRef) {
-		if m.uopAt(w) != nil && ns < len(u.srcs) {
+		if p := m.uopAt(w); p != nil && ns < len(u.srcs) {
 			u.srcs[ns] = w
+			if p.stage != stageDone && p.stage != stageRetired {
+				m.linkWaiter(p, u, ns)
+			}
 			ns++
 		}
 	}

@@ -225,9 +225,9 @@ func (m *Machine) issue() {
 	ready := m.collectReady()
 	m.hot.issueReady.Observe(int64(len(ready)))
 	blocked := 0 // ready but denied an FU / issue slot this cycle
-	for _, ui := range ready {
-		u := m.at(ui)
-		if u.stage != stageWindow {
+	for _, e := range ready {
+		u := m.uopAt(e.r)
+		if u == nil || u.stage != stageWindow {
 			continue // squashed by a trap taken earlier this cycle
 		}
 		exempt := u.excFetch && m.cfg.Limit == LimitNoExecBW
@@ -290,8 +290,7 @@ func (m *Machine) executeUop(u *uop) {
 		m.executeMem(t, u)
 		return
 	}
-	u.stage = stageIssued
-	u.doneAt = m.now + m.cfg.latencyOf(u.inst.Op)
+	m.markIssued(u, m.now+m.cfg.latencyOf(u.inst.Op))
 }
 
 func (m *Machine) executeMem(t *thread, u *uop) {
@@ -306,8 +305,7 @@ func (m *Machine) executeMem(t *thread, u *uop) {
 			// Wrong-path access to an unmapped page: a perfect TLB
 			// still translates nothing; model as a dropped access
 			// with load latency only.
-			u.stage = stageIssued
-			u.doneAt = m.now + m.cfg.latencyOf(u.inst.Op)
+			m.markIssued(u, m.now+m.cfg.latencyOf(u.inst.Op))
 			return
 		}
 		pa = oraclePA
@@ -333,25 +331,25 @@ func (m *Machine) executeMem(t *thread, u *uop) {
 		m.onUnalignedException(u, pa|(u.ea&7))
 		return
 	}
-	u.stage = stageIssued
 	if u.isStore() {
 		// Stores complete into the store buffer at store latency;
 		// the cache access happens for its tag/bus side effects.
 		m.hier.AccessData(m.now, pa, true)
-		u.doneAt = m.now + m.cfg.Hier.StoreLat
+		m.markIssued(u, m.now+m.cfg.Hier.StoreLat)
 		return
 	}
 	if st := m.uopAt(u.fwdStore); st != nil && st.stage != stageRetired {
 		// Store-to-load forwarding from the speculative store buffer.
-		u.doneAt = m.now + 1
+		m.markIssued(u, m.now+1)
 		m.hot.memForwards.Inc()
 		return
 	}
-	u.doneAt = m.hier.AccessData(m.now, pa, false)
+	done := m.hier.AccessData(m.now, pa, false)
 	if m.cfg.TrapUnaligned && !u.pal && u.ea%u.memBytes != 0 {
 		// Hardware-handled unaligned access: one extra cycle.
-		u.doneAt++
+		done++
 	}
+	m.markIssued(u, done)
 	if u.pal {
 		m.Stats.Histogram("handler.pteload.lat").Observe(int64(u.doneAt - m.now))
 		m.Stats.Histogram("handler.pteload.issuedelay").Observe(int64(m.now - u.availAt))

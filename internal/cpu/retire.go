@@ -88,6 +88,7 @@ func (m *Machine) drainHandler(ctx *handlerCtx) {
 // retireUop commits the head instruction of t.
 func (m *Machine) retireUop(t *thread, u *uop) {
 	u.stage = stageRetired
+	m.windowDead++
 	m.releaseWindowSlot(u)
 	t.icount--
 	t.inflight = t.inflight[1:]
@@ -332,7 +333,11 @@ func (m *Machine) squashUop(t *thread, u *uop) {
 	inWindow := u.stage == stageWindow || u.stage == stageIssued || u.stage == stageDone
 	u.stage = stageSquashed
 	if inWindow {
+		m.windowDead++
 		m.releaseWindowSlot(u)
+	}
+	if u.linked != 0 {
+		m.unlinkWaiter(u)
 	}
 	t.icount--
 	if p := m.slotPtr(u); p != nil {

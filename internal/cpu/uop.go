@@ -139,6 +139,16 @@ type uop struct {
 	// satisfied dependencies — see depRef).
 	srcs [3]depRef
 
+	// Wakeup state (sched.go). wakeHead starts the chain of consumer
+	// edges waiting on this uop's completion; wakeNext[k] continues the
+	// chain holding this uop's srcs[k] edge, and bit k of linked marks
+	// that edge as still on its producer's chain. queued marks the uop
+	// as on the ready list.
+	wakeHead wakeLink
+	wakeNext [3]wakeLink
+	linked   uint8
+	queued   bool
+
 	// Timing.
 	stage      uopStage
 	fetchAt    uint64 // cycle the uop was fetched
@@ -242,26 +252,6 @@ func (m *Machine) slotPtr(u *uop) *uint64 {
 		return &t.priv[u.slotReg]
 	}
 	return nil
-}
-
-// uopReady reports whether all producers have completed by cycle now
-// and the register-read delay has elapsed.
-//
-//mtexc:hotpath
-func (m *Machine) uopReady(u *uop, now uint64, regRead uint64) bool {
-	if u.dtlbWait {
-		return false
-	}
-	if now < u.windowAt+regRead {
-		return false
-	}
-	for _, s := range u.srcs {
-		p := m.uopAt(s)
-		if p != nil && (p.stage != stageDone && p.stage != stageRetired || p.doneAt > now) {
-			return false
-		}
-	}
-	return true
 }
 
 // latencyClass maps an opcode to its functional-unit class and

@@ -4,6 +4,7 @@ package stats
 // dropped; it rebuilds lazily on the next percentile query.
 func (h *Histogram) Clone() *Histogram {
 	c := *h
+	c.dense = append([]uint64(nil), h.dense...)
 	c.buckets = make(map[int64]uint64, len(h.buckets))
 	// Each key is copied once; map visit order cannot affect the
 	// resulting buckets.

@@ -23,17 +23,26 @@ func (c *Counter) Add(n uint64) { c.Value += n }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Value++ }
 
+// denseBuckets is the span of small non-negative samples a histogram
+// counts in a flat array rather than its bucket map. Occupancy-style
+// series the simulator samples every cycle (window occupancy, ready
+// instructions) fall inside it.
+const denseBuckets = 256
+
 // Histogram accumulates integer samples and reports summary moments.
 type Histogram struct {
-	Name    string
-	count   uint64
-	sum     float64
-	sumSq   float64
-	min     int64
-	max     int64
+	Name  string
+	count uint64
+	sum   float64
+	sumSq float64
+	min   int64
+	max   int64
+	// dense counts the samples in [0, len(dense)); buckets counts
+	// every other sample value.
+	dense   []uint64
 	buckets map[int64]uint64
-	// sorted caches the bucket keys in ascending order for percentile
-	// queries; Observe invalidates it.
+	// sorted caches the map's bucket keys in ascending order for
+	// percentile queries; a sample with a new map key invalidates it.
 	sorted []int64
 }
 
@@ -44,6 +53,8 @@ func NewHistogram(name string) *Histogram {
 		Name: name,
 		min:  math.MaxInt64,
 		max:  math.MinInt64,
+		//lint:allow hotpathlint same: allocated once per histogram name
+		dense: make([]uint64, denseBuckets),
 		//lint:allow hotpathlint same: allocated once per histogram name
 		buckets: make(map[int64]uint64),
 	}
@@ -61,10 +72,20 @@ func (h *Histogram) Observe(v int64) {
 	if v > h.max {
 		h.max = v
 	}
+	h.add(v, 1)
+}
+
+// add counts n samples of value v in its bucket.
+func (h *Histogram) add(v int64, n uint64) {
+	if uint64(v) < uint64(len(h.dense)) {
+		h.dense[v] += n
+		return
+	}
 	if _, seen := h.buckets[v]; !seen {
 		h.sorted = nil // new bucket key: the sorted cache is stale
 	}
-	h.buckets[v]++
+	//lint:allow hotpathlint inserts only on a value's first sample outside the dense range; the per-cycle series stay dense
+	h.buckets[v] += n
 }
 
 // Merge folds every sample of other into h, bucket by bucket, so an
@@ -87,11 +108,13 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	// Each key is touched once; insertion order cannot affect the
 	// resulting bucket contents.
-	for k, n := range other.buckets {
-		if _, seen := h.buckets[k]; !seen {
-			h.sorted = nil
+	for v, n := range other.dense {
+		if n > 0 {
+			h.add(int64(v), n)
 		}
-		h.buckets[k] += n
+	}
+	for k, n := range other.buckets {
+		h.add(k, n)
 	}
 }
 
@@ -139,9 +162,10 @@ func (h *Histogram) Max() int64 {
 }
 
 // Percentile reports the p-th percentile (0 <= p <= 100) using the
-// nearest-rank method over the exact sample buckets. The sorted bucket
-// keys are cached between calls and rebuilt only after a sample lands
-// in a previously unseen bucket.
+// nearest-rank method over the exact sample buckets: the negative map
+// keys, then the dense counts, then the map keys above them. The
+// sorted map keys are cached between calls and rebuilt only after a
+// sample lands in a previously unseen map bucket.
 func (h *Histogram) Percentile(p float64) int64 {
 	if h.count == 0 {
 		return 0
@@ -160,13 +184,26 @@ func (h *Histogram) Percentile(p float64) int64 {
 		rank = 1
 	}
 	var seen uint64
-	for _, k := range keys {
+	neg := sort.Search(len(keys), func(i int) bool { return keys[i] >= 0 })
+	for _, k := range keys[:neg] {
 		seen += h.buckets[k]
 		if seen >= rank {
 			return k
 		}
 	}
-	return keys[len(keys)-1]
+	for v, n := range h.dense {
+		seen += n
+		if n > 0 && seen >= rank {
+			return int64(v)
+		}
+	}
+	for _, k := range keys[neg:] {
+		seen += h.buckets[k]
+		if seen >= rank {
+			return k
+		}
+	}
+	return h.max
 }
 
 // Set is a registry of counters and histograms keyed by name, used as

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -137,5 +139,75 @@ func TestSetString(t *testing.T) {
 	}
 	if strings.Index(out, "first") > strings.Index(out, "second") {
 		t.Error("registration order not preserved")
+	}
+}
+
+// mapOnlyHistogram is a histogram without the dense array: every
+// sample goes through the bucket map, the reference representation.
+func mapOnlyHistogram(name string) *Histogram {
+	h := NewHistogram(name)
+	h.dense = nil
+	return h
+}
+
+// histSummary renders everything a histogram reports, in the Set's
+// output format plus a percentile sweep.
+func histSummary(h *Histogram) string {
+	s := fmt.Sprintf("n=%d mean=%.2f sd=%.2f min=%d max=%d sum=%v p:",
+		h.Count(), h.Mean(), h.StdDev(), h.Min(), h.Max(), h.Sum())
+	for _, p := range []float64{0, 0.1, 1, 10, 25, 50, 75, 90, 95, 99, 99.9, 100} {
+		s += fmt.Sprintf(" %d", h.Percentile(p))
+	}
+	return s
+}
+
+func TestDenseBucketsMatchMapOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	// Samples straddle both edges of the dense range.
+	sample := func() int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return int64(rng.Intn(8)) - 4
+		case 1:
+			return denseBuckets - 4 + int64(rng.Intn(8))
+		case 2:
+			return int64(rng.Intn(denseBuckets))
+		}
+		return int64(rng.Intn(4*denseBuckets)) - denseBuckets
+	}
+	fill := func(h, ref *Histogram, n int) {
+		for ; n > 0; n-- {
+			v := sample()
+			h.Observe(v)
+			ref.Observe(v)
+			if n%17 == 0 {
+				_ = h.Percentile(50) // interleave cached percentile queries
+				_ = ref.Percentile(50)
+			}
+		}
+	}
+	for trial := 0; trial < 100; trial++ {
+		a, refA := NewHistogram("a"), mapOnlyHistogram("a")
+		b, refB := NewHistogram("b"), mapOnlyHistogram("b")
+		fill(a, refA, rng.Intn(300))
+		fill(b, refB, rng.Intn(300))
+		if got, want := histSummary(a), histSummary(refA); got != want {
+			t.Fatalf("trial %d: dense histogram\n got %s\nwant %s", trial, got, want)
+		}
+		want := refA.Clone()
+		want.Merge(refB)
+		merges := map[string]*Histogram{
+			"dense+dense": a.Clone(),
+			"dense+map":   a.Clone(),
+			"map+dense":   refA.Clone(),
+		}
+		merges["dense+dense"].Merge(b)
+		merges["dense+map"].Merge(refB)
+		merges["map+dense"].Merge(b)
+		for name, h := range merges {
+			if got := histSummary(h); got != histSummary(want) {
+				t.Fatalf("trial %d: %s merge\n got %s\nwant %s", trial, name, got, histSummary(want))
+			}
+		}
 	}
 }
