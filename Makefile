@@ -59,7 +59,7 @@ bench:
 # docs/performance.md.
 bench-compare:
 	mkdir -p out
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFunctionalThroughput|BenchmarkFigure5Mechanisms|BenchmarkMachineClone|BenchmarkMachineConstruction' \
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFunctionalThroughput|BenchmarkFigure5Mechanisms|BenchmarkMachineConstruction' \
 		-benchmem -benchtime=1x . | $(GO) run ./cmd/mtexc-benchsnap
 
 # One JSON snapshot per exception architecture on the compress
@@ -93,7 +93,6 @@ fuzz:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadSnapshot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/diffsim -run '^$$' -fuzz FuzzDifferential$$ -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/diffsim -run '^$$' -fuzz FuzzClusterDifferential -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/cpu -run '^$$' -fuzz FuzzCloneEquivalence -fuzztime $(FUZZTIME)
 	$(GO) run ./cmd/mtexc-fuzz -seed 1 -n 25 -events out/fuzz-events.ndjson
 
 # Longer differential soak: a five-minute FuzzDifferential run plus a

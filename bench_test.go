@@ -252,49 +252,12 @@ func BenchmarkSection6Unaligned(b *testing.B) {
 	}
 }
 
-// --- Machine lifecycle: clone vs construction ---
+// --- Machine lifecycle ---
 
-// cloneBenchMachine builds a machine loaded with the mph workload,
-// run partway so the pipeline, caches and predictors hold state —
-// the scenario Clone exists for.
-func cloneBenchMachine(b *testing.B) *core.Machine {
-	b.Helper()
-	w, err := workload.ByName("mph")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Mech = core.MechMultithreaded
-	cfg.Contexts = 2
-	cfg.MaxInsts = 20_000
-	m := core.NewMachine(cfg)
-	img, err := w.Build(m.Phys(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := m.AddProgram(img); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := m.Run(); err != nil {
-		b.Fatal(err)
-	}
-	return m
-}
-
-// BenchmarkMachineClone measures forking a warmed-up machine.
-func BenchmarkMachineClone(b *testing.B) {
-	m := cloneBenchMachine(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if c := m.Clone(); c == nil {
-			b.Fatal("nil clone")
-		}
-	}
-}
-
-// BenchmarkMachineConstruction measures the path Clone replaces:
-// building a machine from scratch (handler/PAL codegen, predictor and
-// cache allocation) and loading the same workload image.
+// BenchmarkMachineConstruction measures what every simulation pays
+// before its first cycle: building a machine from scratch
+// (handler/PAL codegen, predictor and cache allocation) and loading
+// the mph workload image.
 func BenchmarkMachineConstruction(b *testing.B) {
 	w, err := workload.ByName("mph")
 	if err != nil {
@@ -313,21 +276,5 @@ func BenchmarkMachineConstruction(b *testing.B) {
 		if _, err := m.AddProgram(img); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// TestCloneCheaperThanConstruction pins the economics that justify
-// Clone's existence: forking a warmed machine must be at least an
-// order of magnitude cheaper than rebuilding and reloading one.
-func TestCloneCheaperThanConstruction(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison; skipped in -short")
-	}
-	clone := testing.Benchmark(BenchmarkMachineClone)
-	construct := testing.Benchmark(BenchmarkMachineConstruction)
-	cn, kn := clone.NsPerOp(), construct.NsPerOp()
-	t.Logf("clone %d ns/op, construction %d ns/op (%.1fx)", cn, kn, float64(kn)/float64(cn))
-	if cn*10 > kn {
-		t.Errorf("Clone (%d ns/op) is not >=10x cheaper than construction (%d ns/op)", cn, kn)
 	}
 }

@@ -34,16 +34,15 @@ type line struct {
 // Cache is one level of set-associative, write-back, write-allocate
 // cache with true-LRU replacement.
 type Cache struct {
-	cfg       Config
-	sets      [][]line
-	cowShared bool // line arrays aliased by a Clone; privatize before mutating
-	stamp     uint64
-	shift     uint // log2(LineSize)
-	setMask   uint64
-	Hits      uint64
-	Misses    uint64
-	Evicts    uint64
-	Writebks  uint64
+	cfg      Config
+	sets     [][]line
+	stamp    uint64
+	shift    uint // log2(LineSize)
+	setMask  uint64
+	Hits     uint64
+	Misses   uint64
+	Evicts   uint64
+	Writebks uint64
 }
 
 // New returns an empty cache with the given geometry. It panics on a
@@ -110,9 +109,6 @@ type Victim struct {
 // the miss; the caller is responsible for the timing of the refill
 // path.
 func (c *Cache) Access(pa uint64, write bool) (hit bool, victim Victim) {
-	if c.cowShared {
-		c.privatize()
-	}
 	tag := pa >> c.shift
 	set := c.set(pa)
 	c.stamp++
@@ -157,9 +153,6 @@ func (c *Cache) Access(pa uint64, write bool) (hit bool, victim Victim) {
 // Invalidate drops the line containing pa if present, reporting
 // whether it was dirty.
 func (c *Cache) Invalidate(pa uint64) (present, dirty bool) {
-	if c.cowShared {
-		c.privatize()
-	}
 	tag := pa >> c.shift
 	set := c.set(pa)
 	for i := range set {
@@ -175,9 +168,6 @@ func (c *Cache) Invalidate(pa uint64) (present, dirty bool) {
 // Flush invalidates every line, reporting how many dirty lines were
 // dropped.
 func (c *Cache) Flush() (dirty uint64) {
-	if c.cowShared {
-		c.privatize()
-	}
 	for si := range c.sets {
 		for wi := range c.sets[si] {
 			l := &c.sets[si][wi]

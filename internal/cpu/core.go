@@ -23,11 +23,6 @@ type Machine struct {
 	hand *vm.Handler
 	pal  *vm.PALImage
 
-	// physMark is the physical-memory allocation frontier right after
-	// construction (PAL image and handler code loaded, no programs);
-	// Reset rewinds the allocator to it.
-	physMark uint64
-
 	dir bpred.DirPredictor
 	ind *bpred.Indirect
 
@@ -39,9 +34,9 @@ type Machine struct {
 	// hArena, every hardware context in the threads slice, and all
 	// cross-references between them are index handles (uopIdx/hIdx,
 	// generation-checked as depRef/hRef). No pipeline structure holds
-	// a pointer into another structure, which is what makes a machine
-	// deep-copyable by Clone: copying the slices copies the state, and
-	// the handles stay valid against the copied arenas.
+	// a pointer into another structure, so arena slots can be squashed
+	// and recycled in place while stale references still resolve
+	// safely (to nil) through their generation tags.
 	//
 	// Arena growth contract: the uops and hArena slices grow only
 	// inside newUop/newHandlerCtx, and no *uop or *handlerCtx local
@@ -131,7 +126,7 @@ type Machine struct {
 	faultRec   FaultRecord
 
 	// orderScratch is reused each cycle; its contents are dead between
-	// uses, only the capacity is retained (Clone resets it to empty).
+	// uses, only the capacity is retained.
 	orderScratch []int // thread ids, ICOUNT dispatch order
 
 	// hot caches lazily bound handles on the per-cycle statistics so
@@ -300,66 +295,24 @@ func NewOnSubstrate(cfg Config, phys *mem.Physical, hier *cache.Hierarchy) *Mach
 	if cfg.SampleInterval > 0 {
 		m.attachSampler(cfg.SampleInterval)
 	}
-	m.physMark = phys.Mark()
 	m.bindHotStats()
 	return m
 }
 
-// samplerSpec names one default interval time series and how it is
-// sampled. The spec list (samplerSpecs) and the per-name reader
-// (samplerSource) are split so Clone can rebind a copied sampler's
-// closures onto the clone by name.
-type samplerSpec struct {
-	name string
-	mode obs.SampleMode
-}
-
-// samplerSpecs lists the default series in registration order: IPC,
-// detected miss rate, window occupancy, handler-context activity,
-// squash rate and per-thread in-flight occupancy.
-func (m *Machine) samplerSpecs() []samplerSpec {
-	specs := []samplerSpec{
-		{"ipc", obs.SampleRate},
-		{"dtlb.missrate", obs.SampleRate},
-		{"window.occupancy", obs.SampleLevel},
-		{"handler.active", obs.SampleRate},
-		{"squash.rate", obs.SampleRate},
-	}
-	for i := range m.threads {
-		specs = append(specs, samplerSpec{fmt.Sprintf("thread%d.inflight", i), obs.SampleLevel})
-	}
-	return specs
-}
-
-// samplerSource returns the reader closure for a named series. Each
-// closure captures the machine (plus an index for per-thread series,
-// not a *thread: threads are value-slice elements), so the series
-// keeps reading the machine that owns the sampler.
-func (m *Machine) samplerSource(name string) func() float64 {
-	switch name {
-	case "ipc":
-		return func() float64 { return float64(m.appRetired) }
-	case "dtlb.missrate":
-		return func() float64 { return float64(m.Stats.Get("dtlb.misses.detected")) }
-	case "window.occupancy":
-		return func() float64 { return float64(m.windowCount) }
-	case "handler.active":
-		return func() float64 { return float64(m.Stats.Get("handler.activecycles")) }
-	case "squash.rate":
-		return func() float64 { return float64(m.Stats.Get("squash.insts")) }
-	}
-	var ti int
-	if n, _ := fmt.Sscanf(name, "thread%d.inflight", &ti); n == 1 {
-		return func() float64 { return float64(m.threads[ti].icount) }
-	}
-	panic(fmt.Sprintf("cpu: unknown sampler series %q", name))
-}
-
-// attachSampler wires the default interval time series.
+// attachSampler wires the default interval time series, in
+// registration order: IPC, detected miss rate, window occupancy,
+// handler-context activity, squash rate and per-thread in-flight
+// occupancy. Per-thread closures capture an index, not a *thread:
+// threads are value-slice elements.
 func (m *Machine) attachSampler(every uint64) {
 	sp := obs.NewSampler(every)
-	for _, spec := range m.samplerSpecs() {
-		sp.Register(spec.name, spec.mode, m.samplerSource(spec.name))
+	sp.Register("ipc", obs.SampleRate, func() float64 { return float64(m.appRetired) })
+	sp.Register("dtlb.missrate", obs.SampleRate, func() float64 { return float64(m.Stats.Get("dtlb.misses.detected")) })
+	sp.Register("window.occupancy", obs.SampleLevel, func() float64 { return float64(m.windowCount) })
+	sp.Register("handler.active", obs.SampleRate, func() float64 { return float64(m.Stats.Get("handler.activecycles")) })
+	sp.Register("squash.rate", obs.SampleRate, func() float64 { return float64(m.Stats.Get("squash.insts")) })
+	for i := range m.threads {
+		sp.Register(fmt.Sprintf("thread%d.inflight", i), obs.SampleLevel, func() float64 { return float64(m.threads[i].icount) })
 	}
 	m.Observ.Sampler = sp
 }

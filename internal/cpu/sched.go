@@ -88,24 +88,6 @@ func (c *calendar) each(fn func(schedEvent)) {
 	}
 }
 
-// clone returns a deep copy.
-func (c *calendar) clone() calendar {
-	var d calendar
-	for i, s := range c {
-		if len(s) > 0 {
-			d[i] = append([]schedEvent(nil), s...)
-		}
-	}
-	return d
-}
-
-// reset empties the calendar, keeping its storage.
-func (c *calendar) reset() {
-	for i := range c {
-		c[i] = c[i][:0]
-	}
-}
-
 // schedule files u's next timed event at cycle at. An event can take
 // effect no earlier than the next cycle's complete stage, which runs
 // before issue: each cycle's events are drained there, in seq order.

@@ -30,9 +30,7 @@ const (
 // uopIdx is an index handle into the machine's uop arena. Handle 0 is
 // the reserved sentinel slot (never allocated), so zero-valued
 // references are naturally empty. Handles are stable for the life of
-// a machine — arena storage is recycled in place, never compacted —
-// and remain meaningful across Machine.Clone, which copies the arena
-// wholesale.
+// a machine: arena storage is recycled in place, never compacted.
 type uopIdx int32
 
 // noUop is the empty uop handle (the arena's sentinel slot).
@@ -48,10 +46,8 @@ const noUop uopIdx = 0
 // producer always takes its same-thread, younger consumers with it),
 // and a retired producer has completed by definition.
 //
-// The reference is a pure index pair — no pointers — so the arena it
-// resolves against is chosen by the resolving machine. That is what
-// makes machine state deep-copyable: a cloned arena reinterprets the
-// same references without translation.
+// The reference is a pure index pair — no pointers — so it survives
+// the arena growing (reallocating) and the slot being recycled.
 type depRef struct {
 	idx uopIdx
 	gen uint32

@@ -12,11 +12,7 @@
 // The tier exists so the harness can fast-forward between regions of
 // interest at tens of millions of instructions per second and hand
 // architectural state to a cycle-accurate cpu.Machine for sampled
-// detailed windows (core.SampleCompare). Checkpoint/Restore give the
-// same capability inside the tier itself: a checkpoint records the
-// register state and lazily collects pre-images of pages dirtied
-// afterwards (plus the set of pages newly mapped), so Restore rewinds
-// registers, memory and the mapped-page set exactly.
+// detailed windows (core.SampleCompare).
 //
 // Architectural parity with the cycle core is inherited from refemu's
 // contract: arithmetic, FP, branch and access-size semantics come
@@ -79,11 +75,6 @@ const (
 type tcEntry struct {
 	tag   uint64 // vpn+1; 0 = invalid
 	frame *[mem.FrameSize]byte
-	// tracked: a store went through this entry since the last
-	// Checkpoint (or engine start), so the pre-image bookkeeping has
-	// already run for the page. A conflict eviction loses the flag,
-	// never the undo record — the checkpoint's maps are the authority.
-	tracked bool
 }
 
 // dec is one decoded instruction: a threaded-code record whose fn
@@ -99,22 +90,6 @@ type dec struct {
 }
 
 type execFn func(e *Engine, d *dec, idx int32) int32
-
-// Checkpoint is a restorable architectural snapshot of an engine. It
-// is filled lazily: pages dirtied after the checkpoint get their
-// pre-image saved on first store, pages newly mapped are recorded for
-// unmapping, so the cost is proportional to the state actually
-// touched, not to the footprint.
-type Checkpoint struct {
-	regs     [numSlots]uint64
-	fp       [isa.NumFPRegs]uint64
-	idx      int32
-	steps    uint64
-	halted   bool
-	traceLen int
-	undo     map[uint64]*[mem.FrameSize]byte // vpn -> page pre-image
-	fresh    map[uint64]bool                 // vpn mapped after the checkpoint
-}
 
 // Engine executes one program image functionally. It mutates the
 // image's address space (stores commit, unmapped touches map fresh
@@ -139,7 +114,6 @@ type Engine struct {
 	trace  []Entry
 
 	codeLo, codeHi uint64 // page-aligned code segment bounds
-	cp             *Checkpoint
 }
 
 // New decodes img's code segment and returns an engine positioned at
@@ -274,120 +248,28 @@ func (e *Engine) FastForward(n uint64) (uint64, error) {
 	return e.steps - start, e.err
 }
 
-// Checkpoint snapshots the architectural state and arms dirty-page
-// tracking. It supersedes any previous checkpoint; only the engine's
-// active checkpoint can be restored.
-func (e *Engine) Checkpoint() *Checkpoint {
-	cp := &Checkpoint{
-		regs:     e.regs,
-		fp:       e.fp,
-		idx:      e.idx,
-		steps:    e.steps,
-		halted:   e.halted,
-		traceLen: len(e.trace),
-		undo:     make(map[uint64]*[mem.FrameSize]byte),
-		fresh:    make(map[uint64]bool),
-	}
-	for i := range e.tc {
-		e.tc[i].tracked = false
-	}
-	e.cp = cp
-	return cp
-}
-
-// Restore rewinds the engine to cp: registers, PC, step count, the
-// contents of every page dirtied since the checkpoint, and the
-// mapped-page set (pages mapped after the checkpoint are unmapped, so
-// a replay re-materializes them as fresh zero frames exactly as the
-// first pass did). The checkpoint stays armed: the engine can run
-// forward and be restored to the same point again.
-func (e *Engine) Restore(cp *Checkpoint) error {
-	if cp == nil || cp != e.cp {
-		return fmt.Errorf("fastpath: Restore target is not the engine's active checkpoint")
-	}
-	//lint:allow detlint each iteration rewrites a distinct page; order-independent
-	for vpn, img := range cp.undo {
-		pa, ok := e.as.Translate(vpn << vm.PageShift)
-		if !ok {
-			return fmt.Errorf("fastpath: dirty page vpn %#x vanished before Restore", vpn)
-		}
-		*e.phys.Frame(pa) = *img
-	}
-	//lint:allow detlint each iteration unmaps a distinct page; order-independent
-	for vpn := range cp.fresh {
-		e.as.UnmapPage(vpn)
-	}
-	cp.undo = make(map[uint64]*[mem.FrameSize]byte)
-	cp.fresh = make(map[uint64]bool)
-	e.regs = cp.regs
-	e.fp = cp.fp
-	e.idx = cp.idx
-	e.steps = cp.steps
-	e.halted = cp.halted
-	e.err = nil
-	if cp.traceLen <= len(e.trace) {
-		e.trace = e.trace[:cp.traceLen]
-	}
-	e.tc = [tcSize]tcEntry{}
-	return nil
-}
-
-// Release disarms the active checkpoint, stopping pre-image
-// collection.
-func (e *Engine) Release() { e.cp = nil }
-
 // frameFor resolves a virtual page to its frame's backing array,
 // mapping the page on demand (the architectural effect of the OS
-// page-fault service). store marks the access as a write for
-// checkpoint pre-image collection. Returns nil after setting the
-// sticky error when the address space bound is exceeded.
-func (e *Engine) frameFor(vpn uint64, store bool) *[mem.FrameSize]byte {
+// page-fault service). Returns nil after setting the sticky error when
+// the address space bound is exceeded.
+func (e *Engine) frameFor(vpn uint64) *[mem.FrameSize]byte {
 	te := &e.tc[vpn&tcMask]
 	if te.tag == vpn+1 {
-		if store && !te.tracked {
-			e.trackStore(vpn, te)
-		}
 		return te.frame
 	}
-	return e.frameSlow(vpn, store, te)
+	return e.frameSlow(vpn, te)
 }
 
-func (e *Engine) frameSlow(vpn uint64, store bool, te *tcEntry) *[mem.FrameSize]byte {
-	va := vpn << vm.PageShift
-	mapped := e.as.IsMapped(va)
-	pa, err := e.as.EnsureMapped(va)
+func (e *Engine) frameSlow(vpn uint64, te *tcEntry) *[mem.FrameSize]byte {
+	pa, err := e.as.EnsureMapped(vpn << vm.PageShift)
 	if err != nil {
 		e.err = fmt.Errorf("fastpath: pc %#x: %w", e.pcOf(e.idx), err)
 		return nil
 	}
-	if !mapped && e.cp != nil {
-		e.cp.fresh[vpn] = true
-	}
 	f := e.phys.Frame(pa)
 	te.tag = vpn + 1
 	te.frame = f
-	te.tracked = false
-	if store {
-		e.trackStore(vpn, te)
-	}
 	return f
-}
-
-// trackStore records the page's pre-image into the active checkpoint
-// the first time it is written after Checkpoint. Freshly mapped pages
-// need no pre-image: Restore unmaps them instead.
-func (e *Engine) trackStore(vpn uint64, te *tcEntry) {
-	te.tracked = true
-	cp := e.cp
-	if cp == nil || cp.fresh[vpn] {
-		return
-	}
-	if _, ok := cp.undo[vpn]; ok {
-		return
-	}
-	img := new([mem.FrameSize]byte)
-	*img = *te.frame
-	cp.undo[vpn] = img
 }
 
 // load mirrors refemu.loadValue / the core's architectural load path:
@@ -399,7 +281,7 @@ func (e *Engine) load(ea, n uint64, op isa.Op) (uint64, bool) {
 	if e.opt.Unaligned && op != isa.OpLdf && ea%n != 0 && ea&(vm.PageSize-1) <= vm.PageSize-n {
 		a = ea
 	}
-	f := e.frameFor(a>>vm.PageShift, false)
+	f := e.frameFor(a >> vm.PageShift)
 	if f == nil {
 		return 0, false
 	}
@@ -422,7 +304,7 @@ func (e *Engine) load(ea, n uint64, op isa.Op) (uint64, bool) {
 // instruction cache.
 func (e *Engine) store(ea, n, v uint64) {
 	a := ea &^ (n - 1)
-	f := e.frameFor(a>>vm.PageShift, true)
+	f := e.frameFor(a >> vm.PageShift)
 	if f == nil {
 		return
 	}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 
 	"mtexc/internal/core"
 	"mtexc/internal/cpu"
@@ -68,56 +67,6 @@ func (w fiWorkload) Key() string {
 		w.FuzzProg.Key(), w.class, w.trials, w.seed, w.frac)
 }
 
-// fiRefCache single-flights the per-(program, architecture variant)
-// reference-emulator runs a campaign shares across all its cells.
-type fiRefCache struct {
-	mu sync.Mutex
-	m  map[string]*fiRefEntry
-}
-
-type fiRefEntry struct {
-	once sync.Once
-	ref  *diffsim.RefRun
-	err  error
-}
-
-func (c *fiRefCache) get(key string, run func() (*diffsim.RefRun, error)) (*diffsim.RefRun, error) {
-	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
-		e = &fiRefEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.ref, e.err = run() })
-	return e.ref, e.err
-}
-
-// fiBaseCache is the same singleflight for the cycle-accurate
-// unfaulted baselines, keyed by (mechanism, program).
-type fiBaseCache struct {
-	mu sync.Mutex
-	m  map[string]*fiBaseEntry
-}
-
-type fiBaseEntry struct {
-	once sync.Once
-	b    *faultinject.Baseline
-	err  error
-}
-
-func (c *fiBaseCache) get(key string, run func() (*faultinject.Baseline, error)) (*faultinject.Baseline, error) {
-	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
-		e = &fiBaseEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.b, e.err = run() })
-	return e.b, e.err
-}
-
 // fiTrialCounterHelp documents the campaign's telemetry series.
 const fiTrialCounterHelp = "Fault-injection trials classified, by outcome."
 
@@ -156,8 +105,11 @@ func RunFaultCampaign(opt Options, fc FaultCampaign) (*faultinject.Report, error
 		progs[i] = p
 	}
 
-	refs := &fiRefCache{m: make(map[string]*fiRefEntry)}
-	bases := &fiBaseCache{m: make(map[string]*fiBaseEntry)}
+	// The reference-emulator runs, keyed by (program, architecture
+	// variant), and the cycle-accurate unfaulted baselines, keyed by
+	// (mechanism, program), are shared by every cell of the campaign.
+	var refs flight[*diffsim.RefRun]
+	var bases flight[*faultinject.Baseline]
 	nM, nS := len(fc.Mechs), len(fc.Specs)
 	n := len(fc.Classes) * nM * nS
 	results := make([]faultinject.CellResult, n)

@@ -12,6 +12,54 @@ import (
 	"mtexc/internal/cpu"
 )
 
+// flight single-flights one computation per key: the first caller
+// for a key runs it, and every concurrent or later caller for that key
+// waits for it and shares its value and error. A panic inside the
+// computation is recovered into a *panicError that becomes the key's
+// error: sync.Once marks itself done even when f panics, so an
+// escaping panic would leave every later caller the zero value with a
+// nil error — a silent wrong answer instead of a failed cell. The zero
+// value is ready for concurrent use.
+type flight[V any] struct {
+	mu   sync.Mutex
+	m    map[string]*flightEntry[V]
+	runs atomic.Int64
+}
+
+type flightEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+// get returns the value for key, running run (once) to fill it.
+func (f *flight[V]) get(key string, run func() (V, error)) (V, error) {
+	f.mu.Lock()
+	e := f.m[key]
+	if e == nil {
+		if f.m == nil {
+			f.m = make(map[string]*flightEntry[V])
+		}
+		e = &flightEntry[V]{}
+		f.m[key] = e
+	}
+	f.mu.Unlock()
+	e.once.Do(func() {
+		defer func() {
+			if v := recover(); v != nil {
+				e.err = &panicError{val: v, stack: debug.Stack()}
+			}
+		}()
+		f.runs.Add(1)
+		e.v, e.err = run()
+	})
+	return e.v, e.err
+}
+
+// Runs reports how many computations actually executed — the
+// duplicate suppression at work.
+func (f *flight[V]) Runs() int64 { return f.runs.Load() }
+
 // BaselineCache is a concurrency-safe store of perfect-TLB baseline
 // results keyed by machine shape and workload mix (see shapeKey).
 // Concurrent requests for the same key are single-flighted: the first
@@ -20,50 +68,11 @@ import (
 // it — including across experiments when one cache is shared through
 // Options.Baselines.
 type BaselineCache struct {
-	mu   sync.Mutex
-	m    map[string]*baselineEntry
-	runs atomic.Int64
-}
-
-type baselineEntry struct {
-	once sync.Once
-	res  core.Result
-	err  error
+	flight[core.Result]
 }
 
 // NewBaselineCache returns an empty cache ready for concurrent use.
-func NewBaselineCache() *BaselineCache {
-	return &BaselineCache{m: make(map[string]*baselineEntry)}
-}
-
-// get returns the cached result for key, running run (once) to fill it.
-// A panic inside run is captured into the entry's error rather than
-// allowed to escape: sync.Once marks itself done even when f panics,
-// so an escaping panic would leave every later waiter a zero Result
-// with a nil error — a silent wrong answer instead of a failed cell.
-func (c *BaselineCache) get(key string, run func() (core.Result, error)) (core.Result, error) {
-	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
-		e = &baselineEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		defer func() {
-			if v := recover(); v != nil {
-				e.err = &panicError{val: v, stack: debug.Stack()}
-			}
-		}()
-		c.runs.Add(1)
-		e.res, e.err = run()
-	})
-	return e.res, e.err
-}
-
-// Runs reports how many baseline simulations actually executed —
-// the cache's duplicate-suppression at work.
-func (c *BaselineCache) Runs() int64 { return c.runs.Load() }
+func NewBaselineCache() *BaselineCache { return &BaselineCache{} }
 
 // workers resolves the effective parallelism: Options.Parallelism if
 // set, else one worker per available CPU.

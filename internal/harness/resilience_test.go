@@ -9,8 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"mtexc/internal/core"
 	"mtexc/internal/cpu"
+	"mtexc/internal/diffsim"
+	"mtexc/internal/faultinject"
 )
 
 // A failure injected into one cell must cost exactly that cell: the
@@ -161,29 +162,45 @@ func TestCellTimeoutFailsCell(t *testing.T) {
 	}
 }
 
-// A panic inside a shared baseline must fail every cell that consumes
-// that baseline — with the panic preserved as the cause — rather than
-// silently handing waiters a zero Result (sync.Once marks itself done
-// even when f panics, so without the recover the second caller would
-// see res == zero, err == nil).
+// A panic inside a single-flighted computation must fail every cell
+// that consumes it — with the panic preserved as the cause — rather
+// than silently handing waiters a zero value (sync.Once marks itself
+// done even when f panics, so without the recover the second caller
+// would see the zero value with err == nil). One case per value type
+// the harness single-flights: shared baselines and the fault
+// campaign's reference runs and unfaulted baselines.
 func TestBaselinePanicPropagates(t *testing.T) {
-	cache := NewBaselineCache()
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"baseline", func(t *testing.T) { checkFlightPanic(t, &NewBaselineCache().flight) }},
+		{"fault-ref", func(t *testing.T) { checkFlightPanic(t, &flight[*diffsim.RefRun]{}) }},
+		{"fault-base", func(t *testing.T) { checkFlightPanic(t, &flight[*faultinject.Baseline]{}) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, tc.run)
+	}
+}
+
+func checkFlightPanic[V comparable](t *testing.T, f *flight[V]) {
+	var zero V
 	for i := 0; i < 2; i++ {
-		res, err := cache.get("k", func() (core.Result, error) {
-			panic("baseline blew up")
+		v, err := f.get("k", func() (V, error) {
+			panic("computation blew up")
 		})
 		var pe *panicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("caller %d: err = %v, want *panicError", i, err)
 		}
-		if !strings.Contains(err.Error(), "baseline blew up") {
+		if !strings.Contains(err.Error(), "computation blew up") {
 			t.Errorf("caller %d lost the panic value: %v", i, err)
 		}
-		if res.Cycles != 0 {
-			t.Errorf("caller %d got a partial result %+v with an error", i, res)
+		if v != zero {
+			t.Errorf("caller %d got a partial value %+v with an error", i, v)
 		}
 	}
-	if cache.Runs() != 1 {
-		t.Errorf("panicking baseline ran %d times, want 1 (still single-flighted)", cache.Runs())
+	if f.Runs() != 1 {
+		t.Errorf("panicking computation ran %d times, want 1 (still single-flighted)", f.Runs())
 	}
 }

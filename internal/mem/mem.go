@@ -17,15 +17,10 @@ const (
 	frameMask  = FrameSize - 1
 )
 
-// Physical is a sparse physical address space. Clone produces
-// copy-on-write forks: cloned frames share backing arrays until one
-// side writes, so a machine that is never cloned pays only a nil
-// check on the write path.
+// Physical is a sparse physical address space.
 type Physical struct {
 	frames   map[uint64]*[FrameSize]byte
-	cowing   bool            // a clone may alias any frame not yet privatized
-	priv     map[uint64]bool // frames privatized (or created) since the last Clone
-	nextFree uint64          // bump pointer for frame allocation, in frame numbers
+	nextFree uint64 // bump pointer for frame allocation, in frame numbers
 }
 
 // NewPhysical returns an empty physical memory. Frame number zero is
@@ -62,13 +57,9 @@ func (p *Physical) FramesAllocated() uint64 { return p.nextFree - 1 }
 // allocating the backing store on first touch. The functional
 // execution tier caches these pointers so its hot loop can read and
 // write page bytes without a map lookup per access; whole-page copies
-// (checkpointing, architectural state transfer) use it too. The
-// returned array is writable: a frame still aliased with a clone is
-// privatized first. Pointers cached across a Clone of this Physical
-// are stale for writing; re-fetch them.
-func (p *Physical) Frame(pa uint64) *[FrameSize]byte { return p.wframe(pa) }
-
-func (p *Physical) frame(pa uint64) *[FrameSize]byte {
+// (architectural state transfer) use it too. The returned array is
+// writable and stays valid for the life of the Physical.
+func (p *Physical) Frame(pa uint64) *[FrameSize]byte {
 	fn := pa >> FrameShift
 	f, ok := p.frames[fn]
 	if !ok {
@@ -78,52 +69,16 @@ func (p *Physical) frame(pa uint64) *[FrameSize]byte {
 		p.frames[fn] = f
 	}
 	return f
-}
-
-// wframe is the write-path twin of frame: it additionally privatizes
-// a frame whose array is still shared with a clone. Un-cloned
-// machines (cowing == false) pay only a bool check.
-func (p *Physical) wframe(pa uint64) *[FrameSize]byte {
-	fn := pa >> FrameShift
-	f, ok := p.frames[fn]
-	if !ok {
-		//lint:allow hotpathlint frame materialized once per physical page on first touch, then reused
-		f = new([FrameSize]byte)
-		//lint:allow hotpathlint same: one frame-table insert per page lifetime
-		p.frames[fn] = f
-		if p.cowing {
-			p.markPriv(fn)
-		}
-		return f
-	}
-	if p.cowing && !p.priv[fn] {
-		nf := *f
-		f = &nf
-		//lint:allow hotpathlint copy-on-write: one frame-table update per cloned page, first write only
-		p.frames[fn] = f
-		p.markPriv(fn)
-	}
-	return f
-}
-
-// markPriv records that frame fn is no longer aliased by any clone.
-//
-//mtexc:coldpath
-func (p *Physical) markPriv(fn uint64) {
-	if p.priv == nil {
-		p.priv = make(map[uint64]bool)
-	}
-	p.priv[fn] = true
 }
 
 // ReadU8 reads one byte at physical address pa.
 func (p *Physical) ReadU8(pa uint64) uint8 {
-	return p.frame(pa)[pa&frameMask]
+	return p.Frame(pa)[pa&frameMask]
 }
 
 // WriteU8 writes one byte at physical address pa.
 func (p *Physical) WriteU8(pa uint64, v uint8) {
-	p.wframe(pa)[pa&frameMask] = v
+	p.Frame(pa)[pa&frameMask] = v
 }
 
 // ReadU32 reads a little-endian 32-bit word; the access must not
@@ -135,7 +90,7 @@ func (p *Physical) ReadU32(pa uint64) uint32 {
 		//lint:allow hotpathlint abort path: panics on an access the simulator never issues
 		panic(fmt.Sprintf("mem: unaligned frame-crossing 32-bit read at %#x", pa))
 	}
-	return binary.LittleEndian.Uint32(p.frame(pa)[off : off+4])
+	return binary.LittleEndian.Uint32(p.Frame(pa)[off : off+4])
 }
 
 // WriteU32 writes a little-endian 32-bit word.
@@ -145,7 +100,7 @@ func (p *Physical) WriteU32(pa uint64, v uint32) {
 		//lint:allow hotpathlint abort path: panics on an access the simulator never issues
 		panic(fmt.Sprintf("mem: unaligned frame-crossing 32-bit write at %#x", pa))
 	}
-	binary.LittleEndian.PutUint32(p.wframe(pa)[off:off+4], v)
+	binary.LittleEndian.PutUint32(p.Frame(pa)[off:off+4], v)
 }
 
 // ReadU64 reads a little-endian 64-bit word.
@@ -155,7 +110,7 @@ func (p *Physical) ReadU64(pa uint64) uint64 {
 		//lint:allow hotpathlint abort path: panics on an access the simulator never issues
 		panic(fmt.Sprintf("mem: unaligned frame-crossing 64-bit read at %#x", pa))
 	}
-	return binary.LittleEndian.Uint64(p.frame(pa)[off : off+8])
+	return binary.LittleEndian.Uint64(p.Frame(pa)[off : off+8])
 }
 
 // WriteU64 writes a little-endian 64-bit word.
@@ -165,5 +120,5 @@ func (p *Physical) WriteU64(pa uint64, v uint64) {
 		//lint:allow hotpathlint abort path: panics on an access the simulator never issues
 		panic(fmt.Sprintf("mem: unaligned frame-crossing 64-bit write at %#x", pa))
 	}
-	binary.LittleEndian.PutUint64(p.wframe(pa)[off:off+8], v)
+	binary.LittleEndian.PutUint64(p.Frame(pa)[off:off+8], v)
 }

@@ -175,35 +175,43 @@ func TestDenseBucketsMatchMapOnly(t *testing.T) {
 		}
 		return int64(rng.Intn(4*denseBuckets)) - denseBuckets
 	}
-	fill := func(h, ref *Histogram, n int) {
-		for ; n > 0; n-- {
-			v := sample()
+	draw := func(n int) []int64 {
+		vs := make([]int64, n)
+		for i := range vs {
+			vs[i] = sample()
+		}
+		return vs
+	}
+	// build returns a fresh histogram over vs, dense or map-only, so
+	// every merge operand starts from its own untouched copy.
+	build := func(name string, dense bool, vs []int64) *Histogram {
+		h := mapOnlyHistogram(name)
+		if dense {
+			h = NewHistogram(name)
+		}
+		for i, v := range vs {
 			h.Observe(v)
-			ref.Observe(v)
-			if n%17 == 0 {
+			if i%17 == 16 {
 				_ = h.Percentile(50) // interleave cached percentile queries
-				_ = ref.Percentile(50)
 			}
 		}
+		return h
 	}
 	for trial := 0; trial < 100; trial++ {
-		a, refA := NewHistogram("a"), mapOnlyHistogram("a")
-		b, refB := NewHistogram("b"), mapOnlyHistogram("b")
-		fill(a, refA, rng.Intn(300))
-		fill(b, refB, rng.Intn(300))
-		if got, want := histSummary(a), histSummary(refA); got != want {
+		va, vb := draw(rng.Intn(300)), draw(rng.Intn(300))
+		if got, want := histSummary(build("a", true, va)), histSummary(build("a", false, va)); got != want {
 			t.Fatalf("trial %d: dense histogram\n got %s\nwant %s", trial, got, want)
 		}
-		want := refA.Clone()
-		want.Merge(refB)
+		want := build("a", false, va)
+		want.Merge(build("b", false, vb))
 		merges := map[string]*Histogram{
-			"dense+dense": a.Clone(),
-			"dense+map":   a.Clone(),
-			"map+dense":   refA.Clone(),
+			"dense+dense": build("a", true, va),
+			"dense+map":   build("a", true, va),
+			"map+dense":   build("a", false, va),
 		}
-		merges["dense+dense"].Merge(b)
-		merges["dense+map"].Merge(refB)
-		merges["map+dense"].Merge(b)
+		merges["dense+dense"].Merge(build("b", true, vb))
+		merges["dense+map"].Merge(build("b", false, vb))
+		merges["map+dense"].Merge(build("b", true, vb))
 		for name, h := range merges {
 			if got := histSummary(h); got != histSummary(want) {
 				t.Fatalf("trial %d: %s merge\n got %s\nwant %s", trial, name, got, histSummary(want))

@@ -68,7 +68,7 @@ func TestUnmapPage(t *testing.T) {
 	as := NewAddressSpace(phys, 1, 64)
 	as.MapPage(3)
 	as.UnmapPage(3)
-	if as.IsMapped(3 << PageShift) {
+	if _, ok := as.Translate(3 << PageShift); ok {
 		t.Error("page still mapped after UnmapPage")
 	}
 	if PTEIsValid(phys.ReadU64(as.PTEAddr(3))) {
