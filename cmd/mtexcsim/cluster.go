@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -13,7 +14,7 @@ import (
 // measured benchmark. Prints one summary line per core plus the
 // shared-L2 aggregates; -stats dumps the merged statistics set
 // (per-core counters under coreN. prefixes).
-func runCluster(cfg core.Config, loads []core.Workload, showStats bool, stopProf func() error, stdout, stderr io.Writer) int {
+func runCluster(ctx context.Context, cfg core.Config, loads []core.Workload, showStats bool, stopProf func() error, stdout, stderr io.Writer) int {
 	cl, err := topology.New(topology.Config{Cores: len(loads), Core: cfg})
 	if err != nil {
 		fmt.Fprintln(stderr, "mtexcsim:", err)
@@ -25,6 +26,8 @@ func runCluster(cfg core.Config, loads []core.Workload, showStats bool, stopProf
 			return 1
 		}
 	}
+	// Any core's context stops the whole cluster.
+	cl.Core(0).SetCancel(ctx)
 	results, err := cl.Run()
 	if err != nil {
 		fmt.Fprintln(stderr, "mtexcsim:", err)

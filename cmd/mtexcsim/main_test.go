@@ -113,3 +113,29 @@ func TestSampledModeFlagErrors(t *testing.T) {
 		t.Errorf("-sample with perfect subject: rc = %d, want 1", rc)
 	}
 }
+
+// TestCellTimeoutEveryPath: -cell-timeout bounds every cycle-accurate
+// path — one machine, a -cores cluster and -sample windows — so a
+// timed-out harness cell's repro line reproduces the timeout.
+func TestCellTimeoutEveryPath(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"single", nil},
+		{"cores", []string{"-cores", "2", "-corunner", "cmp"}},
+		{"sample", []string{"-sample", "40000:5000:5000"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			args := append([]string{"-bench", "mph", "-mech", "traditional", "-idle", "0",
+				"-insts", "200000", "-cell-timeout", "1ms"}, tc.args...)
+			if rc := run(args, &out, &errb); rc != 1 {
+				t.Fatalf("rc = %d, want 1; stdout: %s", rc, out.String())
+			}
+			if !strings.Contains(errb.String(), "deadline exceeded") {
+				t.Errorf("stderr does not report the deadline: %s", errb.String())
+			}
+		})
+	}
+}

@@ -7,7 +7,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"mtexc/internal/cpu"
@@ -110,15 +109,8 @@ func RunObserved(ctx context.Context, cfg Config, probe *Probe, workloads ...Wor
 		// with the page-table entries cache-warm accordingly.
 		m.WarmPageTable(img.Space)
 	}
-	if ctx != nil && ctx.Done() != nil {
-		m.SetCancel(ctx.Done())
-	}
-	res, err := m.Run()
-	var cancelled *cpu.CancelledError
-	if errors.As(err, &cancelled) && cancelled.Cause == nil {
-		cancelled.Cause = ctx.Err()
-	}
-	return res, err
+	m.SetCancel(ctx)
+	return m.Run()
 }
 
 // Snapshot assembles the machine-readable export of a completed run:

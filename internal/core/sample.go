@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -93,6 +94,14 @@ type SampledComparison struct {
 // standard error comes from the delta method over the window
 // residuals e_i = d_i − p·m_i.
 func SampleCompare(cfg Config, spec SampleSpec, w Workload) (SampledComparison, error) {
+	return SampleCompareCtx(context.Background(), cfg, spec, w)
+}
+
+// SampleCompareCtx is SampleCompare with cancellation: every detailed
+// window runs under ctx, so the estimate aborts with a
+// *cpu.CancelledError carrying ctx.Err() once ctx is done, like
+// RunCtx.
+func SampleCompareCtx(ctx context.Context, cfg Config, spec SampleSpec, w Workload) (SampledComparison, error) {
 	if err := spec.validate(); err != nil {
 		return SampledComparison{}, err
 	}
@@ -117,11 +126,11 @@ func SampleCompare(cfg Config, spec SampleSpec, w Workload) (SampledComparison, 
 	pos := uint64(0)
 	for pos < budget && !eng.Halted() {
 		if pos+detail <= budget {
-			subj, err := runDetailedWindow(cfg, eng, spec)
+			subj, err := runDetailedWindow(ctx, cfg, eng, spec)
 			if err != nil {
 				return out, fmt.Errorf("core: window %d (subject): %w", len(ds), err)
 			}
-			perf, err := runDetailedWindow(pcfg, eng, spec)
+			perf, err := runDetailedWindow(ctx, pcfg, eng, spec)
 			if err != nil {
 				return out, fmt.Errorf("core: window %d (perfect): %w", len(ds), err)
 			}
@@ -187,12 +196,13 @@ type windowStats struct {
 // fresh cycle-accurate machine, runs the warm-up prefix, snapshots
 // the counters, continues through the measured window, and returns
 // the deltas. The engine is not advanced.
-func runDetailedWindow(cfg Config, eng *fastpath.Engine, spec SampleSpec) (windowStats, error) {
+func runDetailedWindow(ctx context.Context, cfg Config, eng *fastpath.Engine, spec SampleSpec) (windowStats, error) {
 	detail := spec.Warmup + spec.Window
 	wcfg := cfg
 	wcfg.MaxInsts = detail
 	wcfg.MaxCycles = 400*detail + 500_000
 	m := cpu.New(wcfg)
+	m.SetCancel(ctx)
 	img, err := transferImage(eng, m.Phys())
 	if err != nil {
 		return windowStats{}, err

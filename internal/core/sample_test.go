@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"mtexc/internal/core"
+	"mtexc/internal/cpu"
 	"mtexc/internal/workload"
 )
 
@@ -123,5 +126,30 @@ func TestSampleCompareRejectsPerfect(t *testing.T) {
 	cfg.Mech = core.MechPerfect
 	if _, err := core.SampleCompare(cfg, core.SampleSpec{Period: 10_000, Window: 1_000}, w); err == nil {
 		t.Fatal("perfect-TLB subject accepted")
+	}
+}
+
+// TestSampleCompareCtxCancels: sampled windows run under the caller's
+// context like every other cycle-accurate run, so a done context stops
+// the estimate with the driver's *cpu.CancelledError instead of
+// simulating every window.
+func TestSampleCompareCtxCancels(t *testing.T) {
+	w, err := workload.ByName("mph")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Mech = core.MechTraditional
+	cfg.MaxInsts = 200_000
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	spec := core.SampleSpec{Period: 50_000, Warmup: 10_000, Window: 10_000}
+	s, err := core.SampleCompareCtx(ctx, cfg, spec, w)
+	var ce *cpu.CancelledError
+	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("SampleCompareCtx under a cancelled context returned %v, want *cpu.CancelledError", err)
+	}
+	if s.Windows != 0 {
+		t.Errorf("%d windows measured after cancellation, want none", s.Windows)
 	}
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"fmt"
 
 	"mtexc/internal/bpred"
@@ -81,9 +82,14 @@ type Machine struct {
 	// watchdog's notion of forward progress (Config.NoProgressLimit).
 	lastProgress uint64
 
-	// cancel, when non-nil, is polled periodically by Run; once it is
-	// closed the run aborts with a CancelledError (SetCancel).
-	cancel <-chan struct{}
+	// cancel, when non-nil, is polled periodically by the cycle
+	// driver; once it is done the run aborts with a CancelledError
+	// (SetCancel).
+	cancel context.Context
+
+	// stopped marks a machine the cycle driver has finished stepping
+	// in the current call (runTo).
+	stopped bool
 
 	// probe, when non-nil, receives periodic progress snapshots for
 	// concurrent readers (SetProbe). Published on the cancel-poll
@@ -320,10 +326,12 @@ func (m *Machine) attachSampler(every uint64) {
 // Phys exposes the physical memory for program construction.
 func (m *Machine) Phys() *mem.Physical { return m.phys }
 
-// SetCancel installs an abort channel, typically a context's Done
-// channel. Run polls it every cancelPollMask+1 cycles and returns a
-// CancelledError once it is closed. Must be called before Run.
-func (m *Machine) SetCancel(ch <-chan struct{}) { m.cancel = ch }
+// SetCancel installs the context whose cancellation aborts the run.
+// The cycle driver polls it every cancelPollMask+1 cycles and returns
+// a CancelledError carrying ctx.Err() once it is done; in a lockstep
+// run (RunLockstep) any machine's context stops them all. Must be
+// called before Run.
+func (m *Machine) SetCancel(ctx context.Context) { m.cancel = ctx }
 
 // Handler exposes the generated PAL handler (tests, examples).
 func (m *Machine) Handler() *vm.Handler { return m.hand }
@@ -433,8 +441,9 @@ type Result struct {
 	Obs *obs.Observations
 }
 
-// cancelPollMask gates how often Run polls the cancel channel: every
-// (mask+1) cycles, cheap enough to leave on unconditionally.
+// cancelPollMask gates how often the cycle driver polls cancellation
+// and publishes probes: every (mask+1) cycles, cheap enough to leave
+// on unconditionally.
 const cancelPollMask = 0x3FF
 
 // Run simulates until MaxInsts application instructions retire or
@@ -444,9 +453,9 @@ const cancelPollMask = 0x3FF
 // Two abort paths return a partial Result alongside an error: the
 // retirement-progress watchdog (Config.NoProgressLimit) returns a
 // *LivelockError with a machine dump when no instruction retires for
-// the configured span, and a closed cancel channel (SetCancel)
-// returns a *CancelledError.
-func (m *Machine) Run() (Result, error) { return m.runTo(m.cfg.MaxInsts) }
+// the configured span, and a cancelled context (SetCancel) returns a
+// *CancelledError.
+func (m *Machine) Run() (Result, error) { return m.RunUntil(m.cfg.MaxInsts) }
 
 // RunUntil continues the simulation until the cumulative application
 // retirement count reaches target (clamped to MaxInsts), MaxCycles
@@ -456,45 +465,93 @@ func (m *Machine) Run() (Result, error) { return m.runTo(m.cfg.MaxInsts) }
 // then continues through the measured window and differences the two
 // Results. Counters are cumulative across calls.
 func (m *Machine) RunUntil(target uint64) (Result, error) {
-	if target > m.cfg.MaxInsts {
-		target = m.cfg.MaxInsts
-	}
-	return m.runTo(target)
+	err := runTo([]*Machine{m}, target)
+	return m.finish(), err
 }
 
-func (m *Machine) runTo(target uint64) (Result, error) {
-	limit := m.cfg.NoProgressLimit
-	for m.appRetired < target && m.now < m.cfg.MaxCycles {
-		if m.faultArmed && m.now >= m.fault.At {
-			m.tryInjectFault()
-		}
-		m.step()
-		if m.allHalted() {
-			break
-		}
-		if limit > 0 && m.now-m.lastProgress > limit {
-			return m.finish(), &LivelockError{
-				Cycle:        m.now,
-				LastProgress: m.lastProgress,
-				Limit:        limit,
-				AppRetired:   m.appRetired,
-				Dump:         m.DumpState(),
+// RunLockstep runs machines together under one global clock until
+// every one has stopped, returning one Result per machine in order.
+// Each global cycle advances every still-running machine exactly one
+// cycle, in ascending index order, so a run over shared substrate (an
+// N-core topology) is deterministic at any host parallelism. A
+// one-machine lockstep run is exactly Run. The first error — a
+// watchdog abort naming the wedged machine's index, or cancellation —
+// stops every machine, and the Results cover the cycles simulated so
+// far.
+func RunLockstep(ms []*Machine) ([]Result, error) {
+	err := runTo(ms, ^uint64(0))
+	results := make([]Result, len(ms))
+	for i, m := range ms {
+		results[i] = m.finish()
+	}
+	return results, err
+}
+
+// runTo is the cycle driver behind every run. It steps ms in lockstep
+// until each has stopped: its application retirement reached target
+// (clamped to its MaxInsts), its MaxCycles elapsed, or all its
+// contexts halted. It owns the gates every run passes: fault arming,
+// the retirement watchdog with its machine dump, and — every
+// cancelPollMask+1 cycles — probe publication and cancel polling.
+func runTo(ms []*Machine, target uint64) error {
+	for _, m := range ms {
+		m.stopped = false
+	}
+	for live := len(ms); live > 0; {
+		stepped, now := false, uint64(0)
+		for i, m := range ms {
+			if m.stopped {
+				continue
 			}
-		}
-		if m.now&cancelPollMask == 0 {
-			if m.probe != nil {
-				m.probe.publish(m.now, m.appRetired, m.lastProgress)
+			if m.appRetired >= min(target, m.cfg.MaxInsts) || m.now >= m.cfg.MaxCycles {
+				m.stopped = true
+				live--
+				continue
 			}
-			if m.cancel != nil {
-				select {
-				case <-m.cancel:
-					return m.finish(), &CancelledError{Cycle: m.now}
-				default:
+			if m.faultArmed && m.now >= m.fault.At {
+				m.tryInjectFault()
+			}
+			m.step()
+			if m.allHalted() {
+				m.stopped = true
+				live--
+				continue
+			}
+			if limit := m.cfg.NoProgressLimit; limit > 0 && m.now-m.lastProgress > limit {
+				return &LivelockError{
+					Core:         i,
+					Cycle:        m.now,
+					LastProgress: m.lastProgress,
+					Limit:        limit,
+					AppRetired:   m.appRetired,
+					Dump:         m.DumpState(),
 				}
+			}
+			stepped, now = true, m.now
+		}
+		if stepped && now&cancelPollMask == 0 {
+			if err := poll(ms, now); err != nil {
+				return err
 			}
 		}
 	}
-	return m.finish(), nil
+	return nil
+}
+
+// poll publishes every attached probe and reports a CancelledError
+// once any machine's cancel context is done.
+func poll(ms []*Machine, now uint64) error {
+	for _, m := range ms {
+		if m.probe != nil {
+			m.probe.publish(m.now, m.appRetired, m.lastProgress)
+		}
+		if m.cancel != nil {
+			if err := m.cancel.Err(); err != nil {
+				return &CancelledError{Cycle: now, Cause: err}
+			}
+		}
+	}
+	return nil
 }
 
 // finish closes out the statistics and assembles the run summary;
@@ -555,33 +612,6 @@ func (m *Machine) step() {
 		sp.Tick(m.now)
 	}
 }
-
-// StepCycle advances the machine exactly one cycle — fault injection
-// included — and reports whether any context can still make progress.
-// It is the building block external cycle drivers (N-core topologies)
-// use in place of Run: interleave StepCycle across machines in a
-// fixed order, then call Finish on each once stepping is done.
-func (m *Machine) StepCycle() bool {
-	if m.faultArmed && m.now >= m.fault.At {
-		m.tryInjectFault()
-	}
-	m.step()
-	return !m.allHalted()
-}
-
-// Halted reports whether every context has halted.
-func (m *Machine) Halted() bool { return m.allHalted() }
-
-// Now reports the current cycle.
-func (m *Machine) Now() uint64 { return m.now }
-
-// AppRetired reports how many application instructions have retired
-// so far.
-func (m *Machine) AppRetired() uint64 { return m.appRetired }
-
-// Finish closes out the statistics and assembles the run summary for
-// a machine driven by StepCycle rather than Run.
-func (m *Machine) Finish() Result { return m.finish() }
 
 // allHalted reports whether no context can make further progress.
 func (m *Machine) allHalted() bool {

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -86,15 +87,57 @@ func TestCancelAbortsRun(t *testing.T) {
 	cfg.NoProgressLimit = 0
 
 	m := livelockedMachine(cfg)
-	ch := make(chan struct{})
-	close(ch)
-	m.SetCancel(ch)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m.SetCancel(ctx)
 	res, err := m.Run()
 	var ce *CancelledError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Run returned %v, want *CancelledError", err)
 	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancellation cause = %v, want context.Canceled", ce.Cause)
+	}
 	if res.Cycles > cancelPollMask+1 {
 		t.Errorf("cancellation observed only at cycle %d, poll interval is %d", res.Cycles, cancelPollMask+1)
+	}
+}
+
+// TestLockstepWatchdogNamesWedgedCore: the driver's watchdog covers
+// every machine of a lockstep run. A healthy machine stepped together
+// with a wedged one must not mask it: the run aborts promptly after
+// the limit with a LivelockError naming the wedged machine's index and
+// carrying its dump.
+func TestLockstepWatchdogNamesWedgedCore(t *testing.T) {
+	cfg := testConfig()
+	cfg.Mech = MechMultithreaded
+	cfg.NoProgressLimit = 200
+	setup, _ := pageWalkSetup(64)
+	healthy := buildMachine(t, cfg, emitPageWalk(64, 4), setup)
+	wcfg := DefaultConfig()
+	wcfg.Contexts = 1
+	wcfg.MaxInsts = 1
+	wcfg.MaxCycles = 1_000_000
+	wcfg.NoProgressLimit = cfg.NoProgressLimit
+
+	results, err := RunLockstep([]*Machine{healthy, livelockedMachine(wcfg)})
+	var ll *LivelockError
+	if !errors.As(err, &ll) {
+		t.Fatalf("RunLockstep returned %v, want *LivelockError", err)
+	}
+	if ll.Core != 1 {
+		t.Errorf("watchdog named core %d, want the wedged core 1", ll.Core)
+	}
+	if ll.Dump == "" {
+		t.Error("livelock error carries no machine dump")
+	}
+	if ll.Cycle > cfg.NoProgressLimit+16 {
+		t.Errorf("fired at cycle %d, expected promptly after the %d-cycle limit", ll.Cycle, cfg.NoProgressLimit)
+	}
+	if len(results) != 2 {
+		t.Fatalf("got %d results, want one per machine", len(results))
+	}
+	if results[1].Cycles != ll.Cycle {
+		t.Errorf("wedged core's partial result covers %d cycles, want %d", results[1].Cycles, ll.Cycle)
 	}
 }

@@ -16,6 +16,7 @@
 package diffsim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -384,7 +385,8 @@ func RunCaseConfigured(p *gen.Program, c Case, cfg cpu.Config, ref *RefRun, pre 
 	out.Res = res
 	if err != nil {
 		kind := "error"
-		if _, ok := err.(*cpu.LivelockError); ok {
+		var ll *cpu.LivelockError
+		if errors.As(err, &ll) {
 			kind = "livelock"
 		}
 		out.Div = &Divergence{Case: c, Kind: kind, Detail: err.Error()}

@@ -45,14 +45,10 @@ func (c *cell) telemetry() *telemetry.Cell {
 
 // describe records the cell's subject simulation. Only the first call
 // sticks: a cell's later runs (baselines, paired runs) refine nothing.
-func (c *cell) describe(cfg core.Config, loads []core.Workload, key string) {
-	c.describeCluster(cfg, 1, loads, key)
-}
-
-// describeCluster is describe for shared-L2 cluster subjects: cores
-// records the topology width so failure reports render a -cores
-// repro line instead of an SMT mix.
-func (c *cell) describeCluster(cfg core.Config, cores int, loads []core.Workload, key string) {
+// cores is the shared-L2 cluster width (1 for a single machine), so
+// failure reports of cluster subjects render a -cores repro line
+// instead of an SMT mix.
+func (c *cell) describe(cfg core.Config, cores int, loads []core.Workload, key string) {
 	if c == nil {
 		return
 	}

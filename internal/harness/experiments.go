@@ -103,14 +103,27 @@ func newRunner(opt Options, exp string) *runner {
 	return &runner{opt: opt, exp: exp, base: bc, journal: opt.Journal, failSpec: failCellSpec()}
 }
 
-// run is the single simulation entry point of the harness: it
-// fingerprints the run, lets the owning cell describe itself for
-// failure reports, answers from the journal when the identical
-// simulation already completed, and otherwise simulates under the
-// configured context and per-cell deadline, journaling the result.
+// run simulates one machine with the workloads on its hardware
+// contexts, through simulate.
 func (r *runner) run(c *cell, cfg core.Config, loads ...core.Workload) (core.Result, error) {
-	key := runKey(cfg, loads)
-	c.describe(cfg, loads, key)
+	return r.simulate(c, runKey(cfg, loads), cfg, 1, loads,
+		func(ctx context.Context, probe *core.Probe) (core.Result, uint64, error) {
+			res, err := core.RunObserved(ctx, cfg, probe, loads...)
+			return res, res.AppInsts, err
+		})
+}
+
+// simulate is the one sequence every harness simulation goes through:
+// it lets the owning cell describe itself for failure reports (a
+// cores-wide cluster subject when cores > 1), answers from the journal
+// when the identical simulation already completed under key, and
+// otherwise runs sim under the configured context and per-cell
+// deadline with the cell's live probe, journaling the result. sim
+// returns the Result to journal and the application instructions
+// retired across all its machines.
+func (r *runner) simulate(c *cell, key string, cfg core.Config, cores int, loads []core.Workload,
+	sim func(ctx context.Context, probe *core.Probe) (core.Result, uint64, error)) (core.Result, error) {
+	c.describe(cfg, cores, loads, key)
 	// The injection hook fires after describe (so the failure report
 	// carries the configuration and a repro command) and before the
 	// journal lookup (so it fires on resumed runs too).
@@ -123,19 +136,12 @@ func (r *runner) run(c *cell, cfg core.Config, loads ...core.Workload) (core.Res
 			return res, nil
 		}
 	}
-	ctx := r.opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if r.opt.CellTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.opt.CellTimeout)
-		defer cancel()
-	}
+	ctx, cancel := r.cellContext()
+	defer cancel()
 	probe := c.telemetry().SimStarted(r.simPhase(c, key))
-	res, err := core.RunObserved(ctx, cfg, probe, loads...)
-	c.telemetry().SimFinished(res.AppInsts, res.Cycles, res.Stats, err != nil)
-	r.opt.Meter.AddSimInsts(res.AppInsts)
+	res, insts, err := sim(ctx, probe)
+	c.telemetry().SimFinished(insts, res.Cycles, res.Stats, err != nil)
+	r.opt.Meter.AddSimInsts(insts)
 	if err != nil {
 		return res, err
 	}
@@ -148,6 +154,20 @@ func (r *runner) run(c *cell, cfg core.Config, loads ...core.Workload) (core.Res
 		}
 	}
 	return res, nil
+}
+
+// cellContext is the context one simulation runs under: the run-wide
+// Options.Context (e.g. cancelled on SIGINT), bounded by
+// Options.CellTimeout when one is set.
+func (r *runner) cellContext() (context.Context, context.CancelFunc) {
+	ctx := r.opt.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if r.opt.CellTimeout > 0 {
+		return context.WithTimeout(ctx, r.opt.CellTimeout)
+	}
+	return ctx, func() {}
 }
 
 // simPhase labels what a launching simulation is for the live cell

@@ -137,7 +137,7 @@ func RunFaultCampaign(opt Options, fc FaultCampaign) (*faultinject.Report, error
 			seed: fc.Seed, frac: fc.WindowFrac}
 		loads := []core.Workload{load}
 		key := runKey(cfg, loads)
-		c.describe(cfg, loads, key)
+		c.describe(cfg, 1, loads, key)
 		if r.failSpec != "" && injectedFailure(r.exp, r.failSpec, c.index) {
 			panic(fmt.Sprintf("injected failure (%s=%q)", FailCellEnv, r.failSpec))
 		}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -143,22 +144,43 @@ func TestResumeByteIdentical(t *testing.T) {
 }
 
 // A per-cell deadline must turn an overrunning simulation into an
-// ordinary failed cell wrapping context.DeadlineExceeded.
+// ordinary failed cell wrapping context.DeadlineExceeded, on the
+// single-machine path and on the shared-L2 cluster path alike, and the
+// repro line of a timed-out cluster cell must carry the deadline.
 func TestCellTimeoutFailsCell(t *testing.T) {
-	opt := Options{
-		Insts:       5_000_000, // far more work than the deadline allows
-		Benchmarks:  []string{"cmp"},
-		Parallelism: 2,
-		CellTimeout: time.Microsecond,
+	cases := []struct {
+		name string
+		run  func(Options) (*Table, error)
+	}{
+		{"Table2", Table2},
+		{"SharedL2", SharedL2},
 	}
-	_, err := Table2(opt)
-	var ee *ExperimentError
-	if !errors.As(err, &ee) {
-		t.Fatalf("Table2 under a 1µs deadline returned %v, want *ExperimentError", err)
-	}
-	var cancelled *cpu.CancelledError
-	if !errors.As(ee.Cells[0].Cause, &cancelled) {
-		t.Errorf("cell cause = %v, want *cpu.CancelledError", ee.Cells[0].Cause)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := Options{
+				Insts:       20_000,
+				Benchmarks:  []string{"cmp"},
+				Parallelism: 2,
+				CellTimeout: time.Microsecond,
+			}
+			_, err := tc.run(opt)
+			var ee *ExperimentError
+			if !errors.As(err, &ee) {
+				t.Fatalf("%s under a 1µs deadline returned %v, want *ExperimentError", tc.name, err)
+			}
+			for _, ce := range ee.Cells {
+				var cancelled *cpu.CancelledError
+				if !errors.As(ce.Cause, &cancelled) || !errors.Is(ce.Cause, context.DeadlineExceeded) {
+					t.Fatalf("cell %d cause = %v, want *cpu.CancelledError wrapping DeadlineExceeded", ce.Index, ce.Cause)
+				}
+				if ce.Cores > 1 && !strings.Contains(ce.Repro(), "-cores") {
+					t.Errorf("cluster cell %d repro lacks -cores: %s", ce.Index, ce.Repro())
+				}
+				if !strings.Contains(ce.Repro(), "-cell-timeout") {
+					t.Errorf("cell %d repro lacks -cell-timeout: %s", ce.Index, ce.Repro())
+				}
+			}
+		})
 	}
 }
 

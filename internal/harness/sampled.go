@@ -28,9 +28,11 @@ type SampledFigure5 struct {
 // Figure5Sampled regenerates the Figure 5 mechanism comparison in
 // sampled mode: each cell fast-forwards the workload on the
 // functional tier and simulates only periodic warm-up+window
-// stretches cycle-accurately (core.SampleCompare). Cells run under
+// stretches cycle-accurately (core.SampleCompareCtx). Cells run under
 // the same bounded worker pool as the exact experiments and assemble
-// by index, so the tables are identical at any parallelism.
+// by index, so the tables are identical at any parallelism; each
+// cell's windows run under the cell context and CellTimeout like any
+// other simulation.
 func Figure5Sampled(opt Options, spec core.SampleSpec) (*SampledFigure5, error) {
 	r := newRunner(opt, "Figure5Sampled")
 	benches, err := opt.suite()
@@ -65,8 +67,10 @@ func Figure5Sampled(opt Options, spec core.SampleSpec) (*SampledFigure5, error) 
 	err = r.forEach(len(benches)*len(configs), func(c *cell) error {
 		bi, ci := c.index/len(configs), c.index%len(configs)
 		cfg := configs[ci].cfg
-		c.describe(cfg, []core.Workload{benches[bi]}, "")
-		s, err := core.SampleCompare(cfg, spec, benches[bi])
+		c.describe(cfg, 1, []core.Workload{benches[bi]}, "")
+		ctx, cancel := r.cellContext()
+		defer cancel()
+		s, err := core.SampleCompareCtx(ctx, cfg, spec, benches[bi])
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"mtexc/internal/core"
 )
@@ -44,5 +47,22 @@ func TestFigure5SampledDeterministic(t *testing.T) {
 	hw := serial.Est.Cell("murphi", "hardware")
 	if !(tr > hw) {
 		t.Errorf("sampled estimates lost the traditional > hardware ordering: trad=%.2f hw=%.2f", tr, hw)
+	}
+}
+
+// TestFigure5SampledCellTimeout: sampled cells run their windows under
+// the cell deadline, so an overrunning cell fails like any other.
+func TestFigure5SampledCellTimeout(t *testing.T) {
+	spec := core.SampleSpec{Period: 40_000, Warmup: 4_000, Window: 4_000}
+	opt := Options{Insts: 120_000, Benchmarks: []string{"mph"}, Parallelism: 2, CellTimeout: time.Microsecond}
+	_, err := Figure5Sampled(opt, spec)
+	var ee *ExperimentError
+	if !errors.As(err, &ee) || len(ee.Cells) != 4 {
+		t.Fatalf("Figure5Sampled under a 1µs deadline returned %v, want all 4 cells failed", err)
+	}
+	for _, ce := range ee.Cells {
+		if !errors.Is(ce.Cause, context.DeadlineExceeded) {
+			t.Errorf("cell %d cause = %v, want a deadline", ce.Index, ce.Cause)
+		}
 	}
 }

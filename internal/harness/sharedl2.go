@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -21,60 +22,39 @@ func clusterRunKey(cfg core.Config, cores int, loads []core.Workload) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// runCluster simulates a shared-L2 cluster: one core per workload,
-// private L1s and TLBs, one shared L2 domain, the deterministic
-// round-robin driver. The returned Result is the measured core's
-// (core 0) scalars with the cluster-wide merged statistics attached
-// ("coreN."-prefixed counters plus the "l2shared." aggregates), so
-// journaled cluster runs round-trip through lookup like any other
-// simulation.
+// runCluster simulates a shared-L2 cluster through simulate: one
+// core per workload, private L1s and TLBs, one shared L2 domain, the
+// deterministic round-robin driver. The returned Result is the
+// measured core's (core 0) scalars with the cluster-wide merged
+// statistics attached ("coreN."-prefixed counters plus the
+// "l2shared." aggregates), so journaled cluster runs round-trip
+// through lookup like any other simulation.
 func (r *runner) runCluster(c *cell, cfg core.Config, loads []core.Workload) (core.Result, error) {
 	cores := len(loads)
-	key := clusterRunKey(cfg, cores, loads)
-	c.describeCluster(cfg, cores, loads, key)
-	if c != nil && r.failSpec != "" && injectedFailure(r.exp, r.failSpec, c.index) {
-		panic(fmt.Sprintf("injected failure (%s=%q)", FailCellEnv, r.failSpec))
-	}
-	if r.journal != nil {
-		if res, ok := r.journal.lookup(key); ok {
-			r.noteJournalHit(c, key)
-			return res, nil
-		}
-	}
-	cl, err := topology.New(topology.Config{Cores: cores, Core: cfg})
-	if err != nil {
-		return core.Result{}, err
-	}
-	for i, w := range loads {
-		if err := cl.Load(i, w); err != nil {
-			return core.Result{}, err
-		}
-	}
-	probe := c.telemetry().SimStarted(r.simPhase(c, key))
-	if probe != nil {
-		cl.Core(0).SetProbe(probe)
-	}
-	results, runErr := cl.Run()
-	var total uint64
-	for _, res := range results {
-		total += res.AppInsts
-	}
-	res := results[0]
-	res.Stats = cl.MergedStats(results)
-	c.telemetry().SimFinished(total, res.Cycles, res.Stats, runErr != nil)
-	r.opt.Meter.AddSimInsts(total)
-	if runErr != nil {
-		return res, runErr
-	}
-	if r.journal != nil {
-		appendDone := c.telemetry().JournalAppendBegin()
-		jerr := r.journal.record(r.exp, key, cfg, loadNames(loads), res)
-		appendDone()
-		if jerr != nil {
-			return res, jerr
-		}
-	}
-	return res, nil
+	return r.simulate(c, clusterRunKey(cfg, cores, loads), cfg, cores, loads,
+		func(ctx context.Context, probe *core.Probe) (core.Result, uint64, error) {
+			cl, err := topology.New(topology.Config{Cores: cores, Core: cfg})
+			if err != nil {
+				return core.Result{}, 0, err
+			}
+			for i, w := range loads {
+				if err := cl.Load(i, w); err != nil {
+					return core.Result{}, 0, err
+				}
+			}
+			// Core 0 is the measured core: its probe is the cell's live
+			// view, and its context stops the whole cluster.
+			cl.Core(0).SetProbe(probe)
+			cl.Core(0).SetCancel(ctx)
+			results, err := cl.Run()
+			var total uint64
+			for _, res := range results {
+				total += res.AppInsts
+			}
+			res := results[0]
+			res.Stats = cl.MergedStats(results)
+			return res, total, err
+		})
 }
 
 // SharedL2 measures shared-cache interference with exception

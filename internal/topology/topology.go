@@ -1,9 +1,10 @@
 // Package topology composes N simulated cores into a shared-memory
 // cluster: private L1s and TLBs per core, one shared L2 domain (L2
 // array, L2 MSHRs, memory bus) behind them, and one physical memory
-// every program image is loaded into. A deterministic round-robin
-// driver advances the cores one cycle at a time in fixed core order,
-// so a cluster run is reproducible at any host parallelism.
+// every program image is loaded into. The cluster only composes the
+// machines; cpu.RunLockstep, the cycle driver every run goes through,
+// advances them one cycle at a time in fixed core order, so a cluster
+// run is reproducible at any host parallelism.
 //
 // The cluster exists to measure how shared-cache interference changes
 // the cost of software exception handling: a co-runner that thrashes
@@ -96,71 +97,15 @@ func (c *Cluster) Load(i int, w core.Workload) error {
 	return nil
 }
 
-// LivelockError reports a core that stopped retiring instructions
-// while the cluster was still running.
-type LivelockError struct {
-	Core       int
-	Cycle      uint64
-	AppRetired uint64
-}
-
-func (e *LivelockError) Error() string {
-	return fmt.Sprintf("topology: core %d made no progress by cycle %d (%d insts retired)",
-		e.Core, e.Cycle, e.AppRetired)
-}
-
-// progressCheckInterval is how often (in global cycles) the driver
-// samples per-core retirement for the livelock watchdog.
-const progressCheckInterval = 4096
-
 // Run drives every core to completion under the global round-robin
-// clock: each global cycle, every still-active core advances exactly
-// one cycle, in ascending core order. A core is done when it halts,
-// reaches its instruction budget or its cycle budget. The returned
-// slice holds one Result per core, in core order.
-func (c *Cluster) Run() ([]core.Result, error) {
-	n := len(c.cores)
-	done := make([]bool, n)
-	lastRetired := make([]uint64, n)
-	lastChange := make([]uint64, n)
-	remaining := n
-	var global uint64
-	for remaining > 0 {
-		for i, m := range c.cores {
-			if done[i] {
-				continue
-			}
-			if m.Halted() || m.AppRetired() >= c.cfg.Core.MaxInsts || m.Now() >= c.cfg.Core.MaxCycles {
-				done[i] = true
-				remaining--
-				continue
-			}
-			m.StepCycle()
-		}
-		global++
-		if limit := c.cfg.Core.NoProgressLimit; limit > 0 && global%progressCheckInterval == 0 {
-			for i, m := range c.cores {
-				if done[i] {
-					continue
-				}
-				if r := m.AppRetired(); r != lastRetired[i] {
-					lastRetired[i], lastChange[i] = r, global
-				} else if global-lastChange[i] > limit {
-					return c.finishAll(), &LivelockError{Core: i, Cycle: m.Now(), AppRetired: r}
-				}
-			}
-		}
-	}
-	return c.finishAll(), nil
-}
-
-func (c *Cluster) finishAll() []core.Result {
-	results := make([]core.Result, len(c.cores))
-	for i, m := range c.cores {
-		results[i] = m.Finish()
-	}
-	return results
-}
+// clock of cpu.RunLockstep: each global cycle, every still-active core
+// advances exactly one cycle, in ascending core order. A core is done
+// when it halts, reaches its instruction budget or its cycle budget.
+// The driver's gates cover the whole cluster: the livelock watchdog
+// (a *cpu.LivelockError naming the wedged core, with its dump), any
+// core's cancel context (SetCancel) and every core's probe. The
+// returned slice holds one Result per core, in core order.
+func (c *Cluster) Run() ([]core.Result, error) { return cpu.RunLockstep(c.cores) }
 
 // WorkloadNames reports the loaded workload name per core.
 func (c *Cluster) WorkloadNames() []string {

@@ -1,10 +1,13 @@
 package topology
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"mtexc/internal/core"
+	"mtexc/internal/cpu"
 	"mtexc/internal/workload"
 )
 
@@ -179,5 +182,70 @@ func TestClusterErrors(t *testing.T) {
 	}
 	if c.Cores() != 1 {
 		t.Errorf("Cores() = %d, want 1", c.Cores())
+	}
+}
+
+// TestClusterCancel: a cancelled context on any core stops the whole
+// cluster at the driver's first poll point, with a *cpu.CancelledError
+// carrying the context's cause.
+func TestClusterCancel(t *testing.T) {
+	c := buildCluster(t, testConfig(t), "mph", "cmp")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c.Core(1).SetCancel(ctx)
+	results, err := c.Run()
+	var ce *cpu.CancelledError
+	if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v, want *cpu.CancelledError wrapping context.Canceled", err)
+	}
+	for i, res := range results {
+		if res.Cycles > 1024 {
+			t.Errorf("core %d ran %d cycles past cancellation, want at most 1024", i, res.Cycles)
+		}
+	}
+}
+
+// TestClusterLivelockIsCPUError: the cluster watchdog is the driver's,
+// so a wedged cluster reports the one *cpu.LivelockError type, naming
+// the core and carrying its dump.
+func TestClusterLivelockIsCPUError(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.NoProgressLimit = 1 // no core retires every cycle
+	_, err := buildCluster(t, cfg, "mph", "cmp").Run()
+	var ll *cpu.LivelockError
+	if !errors.As(err, &ll) {
+		t.Fatalf("Run returned %v, want *cpu.LivelockError", err)
+	}
+	if ll.Dump == "" {
+		t.Error("cluster livelock error carries no machine dump")
+	}
+}
+
+// TestClusterProbeLive: core 0's probe is published while the cluster
+// runs, not only when it finishes, so a live cell view of a cluster
+// cell moves.
+func TestClusterProbeLive(t *testing.T) {
+	c := buildCluster(t, testConfig(t), "mph", "cmp")
+	var p cpu.Probe
+	m := c.Core(0)
+	m.SetProbe(&p)
+	seen := false
+	m.RetireHook = func(ri cpu.RetiredInst) {
+		if !seen && ri.Cycle > 2048 {
+			seen = true
+			if p.Done.Load() || p.Cycles.Load() == 0 {
+				t.Errorf("at cycle %d the probe reads cycles=%d done=%v, want live progress",
+					ri.Cycle, p.Cycles.Load(), p.Done.Load())
+			}
+		}
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !seen {
+		t.Fatal("core 0 never retired past cycle 2048")
+	}
+	if !p.Done.Load() {
+		t.Error("probe not marked done after Run")
 	}
 }
