@@ -13,6 +13,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -58,9 +59,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ptorg    = fs.Bool("ptorg", false, "page-table organization study (linear vs two-level)")
 		unalign  = fs.Bool("unaligned", false, "generalized mechanism: unaligned loads (Section 6)")
 		sharedl2 = fs.Bool("sharedl2", false, "shared-L2 topology study: penalty/miss vs core count and co-runner (not part of -all: cluster cells multiply the instruction budget by the core count)")
-		fig5samp = fs.Bool("fig5sampled", false, "mechanism comparison in sampled mode (functional fast-forward + periodic cycle-accurate windows)")
-		sampleF  = fs.String("sample", "100000:10000:10000", "sampling spec for -fig5sampled/-sample-check: period:warmup:window instruction counts")
-		sampChk  = fs.Bool("sample-check", false, "run Figure 5 both exact and sampled, verify every cell agrees within its confidence interval (plus edge allowance), and report the wall-clock speedup")
+		sampleF  = fs.String("sample", "", "run -fig5 in sampled mode (functional fast-forward + periodic cycle-accurate windows): period:warmup:window instruction counts")
+		sampChk  = fs.Bool("sample-check", false, "run Figure 5 both exact and sampled (-sample, default 100000:10000:10000), and verify every cell agrees within its confidence interval (plus edge allowance)")
 		insts    = fs.Uint64("insts", 1_000_000, "application instructions per run")
 		benches  = fs.String("bench", "", "comma-separated benchmark subset (default: all 8)")
 		verbose  = fs.Bool("v", false, "log every simulation run")
@@ -79,6 +79,50 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	spec, err := core.ParseSampleSpec(cmp.Or(*sampleF, "100000:10000:10000"))
+	if err != nil {
+		fmt.Fprintln(stderr, "mtexc-experiments:", err)
+		return 2
+	}
+	// -fig5 runs exact or, with -sample, sampled; -sample-check both.
+	fig5Exact := *fig5 && *sampleF == "" || *sampChk
+	fig5Sampled := *fig5 && *sampleF != "" || *sampChk
+	type experiment struct {
+		enabled *bool
+		name    string
+		run     func(harness.Options) (*harness.Table, error)
+		// noAll keeps an experiment out of -all (it must be asked for
+		// by its own flag), so adding one never changes -all's output
+		// or wall clock.
+		noAll bool
+	}
+	experiments := []experiment{
+		{table2, "Table2", harness.Table2, false},
+		{fig2, "Figure2", harness.Figure2, false},
+		{fig3, "Figure3", harness.Figure3, false},
+		{&fig5Exact, "Figure5", harness.Figure5, false},
+		{&fig5Sampled, "Figure5Sampled", func(o harness.Options) (*harness.Table, error) {
+			o.Sample = spec
+			return harness.Figure5(o)
+		}, true},
+		{table3, "Table3", harness.Table3, false},
+		{fig6, "Figure6", harness.Figure6, false},
+		{fig7, "Figure7", harness.Figure7, false},
+		{table4, "Table4", harness.Table4, false},
+		{ablate, "Ablations", harness.Ablations, false},
+		{general, "Generalized", harness.Generalized, false},
+		{tlbsw, "TLBSweep", harness.TLBSweep, false},
+		{faults, "FaultInjection", harness.FaultInjection, false},
+		{ptorg, "PTOrganization", harness.PTOrganization, false},
+		{unalign, "Unaligned", harness.Unaligned, false},
+		{sharedl2, "SharedL2", harness.SharedL2, true},
+	}
+	for _, e := range experiments {
+		if *sampleF != "" && (*all || *table1 || *e.enabled && !strings.HasPrefix(e.name, "Figure5")) {
+			fmt.Fprintln(stderr, "mtexc-experiments: -sample applies to -fig5 only")
+			return 2
+		}
 	}
 
 	// A SIGINT/SIGTERM cancels in-flight simulations; cells journaled
@@ -163,33 +207,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	type experiment struct {
-		enabled *bool
-		name    string
-		run     func(harness.Options) (*harness.Table, error)
-		// noAll keeps an experiment out of -all (it must be asked for
-		// by its own flag), so adding one never changes -all's output
-		// or wall clock.
-		noAll bool
-	}
-	experiments := []experiment{
-		{table2, "Table2", harness.Table2, false},
-		{fig2, "Figure2", harness.Figure2, false},
-		{fig3, "Figure3", harness.Figure3, false},
-		{fig5, "Figure5", harness.Figure5, false},
-		{table3, "Table3", harness.Table3, false},
-		{fig6, "Figure6", harness.Figure6, false},
-		{fig7, "Figure7", harness.Figure7, false},
-		{table4, "Table4", harness.Table4, false},
-		{ablate, "Ablations", harness.Ablations, false},
-		{general, "Generalized", harness.Generalized, false},
-		{tlbsw, "TLBSweep", harness.TLBSweep, false},
-		{faults, "FaultInjection", harness.FaultInjection, false},
-		{ptorg, "PTOrganization", harness.PTOrganization, false},
-		{unalign, "Unaligned", harness.Unaligned, false},
-		{sharedl2, "SharedL2", harness.SharedL2, true},
-	}
-
 	ran := false
 	if *table1 || *all {
 		printTable1(stdout)
@@ -225,18 +242,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}(i, e.name, e.run)
 	}
 	wg.Wait()
-	// The sampled-mode runs are not part of the Table-returning
-	// experiment set; they run here so the profiles still cover them.
-	sampledExit := 0
-	if *fig5samp || *sampChk {
-		ran = true
-		spec, err := core.ParseSampleSpec(*sampleF)
-		if err != nil {
-			fmt.Fprintln(stderr, "mtexc-experiments:", err)
-			return 2
-		}
-		sampledExit = runSampledFigure5(opt, spec, *sampChk, stdout, stderr)
-	}
 	// The profiles cover the simulations, not the table printing.
 	if err := stopProf(); err != nil {
 		fmt.Fprintln(stderr, "mtexc-experiments:", err)
@@ -246,14 +251,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// then digest the failures, so one dead cell never hides the rest
 	// of the suite's results.
 	exitCode := 0
-	if sampledExit != 0 {
-		exitCode = sampledExit
-	}
 	var failures []*harness.CellError
-	for _, r := range results {
+	tabs := make(map[string]*harness.Table)
+	for i, r := range results {
 		if r == nil {
 			continue
 		}
+		tabs[experiments[i].name] = r.tab
 		if r.tab != nil {
 			switch {
 			case *jsonOut:
@@ -289,6 +293,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(failures) > 0 {
 		fmt.Fprintf(stderr, "mtexc-experiments: %d cell(s) failed; rerun with -v for stacks\n", len(failures))
 	}
+	if *sampChk && !sampleCheck(tabs["Figure5"], tabs["Figure5Sampled"], stdout, stderr) {
+		exitCode = 1
+	}
 	if journal != nil {
 		if *verbose {
 			fmt.Fprintf(stderr, "journal: %d hit(s), %d new entr%s\n",
@@ -322,48 +329,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return exitCode
 }
 
-// runSampledFigure5 regenerates Figure 5 in sampled mode and prints
-// the estimate and confidence tables. With check set it also runs the
-// exact experiment and verifies each cell agrees within its
-// confidence interval plus a small edge allowance (for the exact
-// run's cold-start ramp and window-boundary stall spill — see
-// docs/performance.md), reporting the wall-clock speedup.
-func runSampledFigure5(opt harness.Options, spec core.SampleSpec, check bool, stdout, stderr io.Writer) int {
-	t0 := time.Now()
-	samp, err := harness.Figure5Sampled(opt, spec)
-	sampElapsed := time.Since(t0)
-	if err != nil {
-		fmt.Fprintln(stderr, "mtexc-experiments:", err)
-		return 1
+// sampleCheck verifies that every cell of the sampled Figure 5 agrees
+// with the exact one within its confidence interval plus a small edge
+// allowance (for the exact run's cold-start ramp and window-boundary
+// stall spill — see docs/performance.md).
+func sampleCheck(exact, samp *harness.Table, stdout, stderr io.Writer) bool {
+	if exact == nil || samp == nil {
+		fmt.Fprintln(stderr, "mtexc-experiments: sample-check: a Figure 5 run produced no table")
+		return false
 	}
-	fmt.Fprintln(stdout, samp.Est)
-	fmt.Fprintln(stdout, samp.CI)
-	fmt.Fprintf(stdout, "sampled detail: %d of %d insts cycle-accurate (%.1f%% of the exact-comparison work), %s wall clock\n\n",
-		samp.DetailedInsts, 2*samp.TotalInsts,
-		100*float64(samp.DetailedInsts)/float64(2*samp.TotalInsts), sampElapsed.Round(time.Millisecond))
-	if !check {
-		return 0
-	}
-	t1 := time.Now()
-	exact, err := harness.Figure5(opt)
-	exactElapsed := time.Since(t1)
-	if err != nil {
-		fmt.Fprintln(stderr, "mtexc-experiments:", err)
-		return 1
-	}
-	fmt.Fprintln(stdout, exact)
 	bad := 0
 	for r, row := range exact.Rows {
 		if row == "average" {
 			continue
 		}
 		for c, col := range exact.Cols {
-			if exact.FailedAt(r, c) || samp.Est.FailedAt(r, c) {
+			if exact.FailedAt(r, c) || samp.FailedAt(r, c) {
 				fmt.Fprintf(stderr, "mtexc-experiments: sample-check %s/%s: cell FAILED\n", row, col)
 				bad++
 				continue
 			}
-			want, got, ci := exact.Get(r, c), samp.Est.Get(r, c), samp.CI.Get(r, c)
+			want, got, ci := exact.Get(r, c), samp.Get(r, c), samp.Cell(row, harness.CI95Col(col))
 			tol := ci + 0.05*math.Abs(want) + 0.75
 			if diff := math.Abs(got - want); diff > tol {
 				fmt.Fprintf(stderr, "mtexc-experiments: sample-check %s/%s: sampled %.2f±%.2f vs exact %.2f: |Δ|=%.2f exceeds tolerance %.2f\n",
@@ -372,15 +358,12 @@ func runSampledFigure5(opt harness.Options, spec core.SampleSpec, check bool, st
 			}
 		}
 	}
-	fmt.Fprintf(stdout, "sample-check: exact %s, sampled %s (%.1fx wall clock)\n",
-		exactElapsed.Round(time.Millisecond), sampElapsed.Round(time.Millisecond),
-		exactElapsed.Seconds()/sampElapsed.Seconds())
 	if bad > 0 {
 		fmt.Fprintf(stderr, "mtexc-experiments: sample-check: %d cell(s) outside tolerance\n", bad)
-		return 1
+		return false
 	}
 	fmt.Fprintln(stdout, "sample-check: all cells within tolerance")
-	return 0
+	return true
 }
 
 // writeRunTrace renders the collected run trace as a Chrome trace

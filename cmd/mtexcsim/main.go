@@ -208,16 +208,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Build the machine by hand so the trace hook can attach.
 		m := core.NewMachine(cfg)
 		for i, w := range loads {
-			img, err := w.Build(m.Phys(), uint8(i+1))
-			if err != nil {
+			if err := core.Load(m, uint8(i+1), w); err != nil {
 				fmt.Fprintln(stderr, "mtexcsim:", err)
 				return 1
 			}
-			if _, err := m.AddProgram(img); err != nil {
-				fmt.Fprintln(stderr, "mtexcsim:", err)
-				return 1
-			}
-			m.WarmPageTable(img.Space)
 		}
 		collector = trace.NewCollector(*traceN)
 		m.TraceHook = collector.Add

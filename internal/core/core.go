@@ -98,19 +98,27 @@ func RunObserved(ctx context.Context, cfg Config, probe *Probe, workloads ...Wor
 		m.SetProbe(probe)
 	}
 	for i, w := range workloads {
-		img, err := w.Build(m.Phys(), uint8(i+1))
-		if err != nil {
-			return Result{}, fmt.Errorf("core: building %s: %w", w.Name(), err)
+		if err := Load(m, uint8(i+1), w); err != nil {
+			return Result{}, err
 		}
-		if _, err := m.AddProgram(img); err != nil {
-			return Result{}, fmt.Errorf("core: loading %s: %w", w.Name(), err)
-		}
-		// The paper measures from mid-execution checkpoints; start
-		// with the page-table entries cache-warm accordingly.
-		m.WarmPageTable(img.Space)
 	}
 	m.SetCancel(ctx)
 	return m.Run()
+}
+
+// Load builds w's image in m's physical memory under address space
+// asn and attaches it to m's next hardware context, its page-table
+// entries cache-warm (the paper measures from mid-execution checkpoints).
+func Load(m *Machine, asn uint8, w Workload) error {
+	img, err := w.Build(m.Phys(), asn)
+	if err != nil {
+		return fmt.Errorf("core: building %s: %w", w.Name(), err)
+	}
+	if _, err := m.AddProgram(img); err != nil {
+		return fmt.Errorf("core: loading %s: %w", w.Name(), err)
+	}
+	m.WarmPageTable(img.Space)
+	return nil
 }
 
 // Snapshot assembles the machine-readable export of a completed run:

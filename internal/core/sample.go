@@ -8,6 +8,7 @@ import (
 	"mtexc/internal/cpu"
 	"mtexc/internal/fastpath"
 	"mtexc/internal/mem"
+	"mtexc/internal/stats"
 	"mtexc/internal/vm"
 )
 
@@ -88,11 +89,8 @@ type SampledComparison struct {
 // architectural state (registers, PC, mapped pages) is transferred
 // into two fresh cycle-accurate machines — the subject configuration
 // and its perfect-TLB baseline — which run the warm-up prefix and the
-// measured window over the identical instruction stream. Per-window
-// penalty cycles d_i (subject minus perfect window cycles) and
-// committed fills m_i feed the ratio estimator p = Σd/Σm, whose
-// standard error comes from the delta method over the window
-// residuals e_i = d_i − p·m_i.
+// measured window over the identical instruction stream. The windows
+// feed SampledEstimate.
 func SampleCompare(cfg Config, spec SampleSpec, w Workload) (SampledComparison, error) {
 	return SampleCompareCtx(context.Background(), cfg, spec, w)
 }
@@ -102,44 +100,60 @@ func SampleCompare(cfg Config, spec SampleSpec, w Workload) (SampledComparison, 
 // *cpu.CancelledError carrying ctx.Err() once ctx is done, like
 // RunCtx.
 func SampleCompareCtx(ctx context.Context, cfg Config, spec SampleSpec, w Workload) (SampledComparison, error) {
-	if err := spec.validate(); err != nil {
-		return SampledComparison{}, err
-	}
 	if cfg.Mech == MechPerfect {
 		return SampledComparison{}, fmt.Errorf("core: SampleCompare subject cannot be the perfect baseline")
 	}
-	img, err := w.Build(mem.NewPhysical(), 1)
-	if err != nil {
-		return SampledComparison{}, fmt.Errorf("core: building %s: %w", w.Name(), err)
-	}
-	eng, err := fastpath.New(img, fastpath.Options{Unaligned: cfg.TrapUnaligned})
-	if err != nil {
-		return SampledComparison{}, err
-	}
 	pcfg := cfg
 	pcfg.Mech = MechPerfect
+	rs, err := sampleRuns(ctx, []Config{cfg, pcfg}, spec, nil, w)
+	if err != nil {
+		return SampledComparison{Spec: spec}, err
+	}
+	s := SampledEstimate(rs[0], rs[1])
+	s.Spec = spec
+	return s, nil
+}
 
-	out := SampledComparison{Spec: spec}
-	budget := cfg.MaxInsts
+// SampleRunCtx is RunObserved for one workload simulated only in
+// spec's periodic windows. Cycles, AppInsts and DTLBMisses sum the
+// measured windows; Stats hold sample.wNNNN.{insts,cycles,misses} per
+// window, sample.windows, sample.total_insts (the functional run) and
+// sample.detailed_insts (warm-up included), for SampledEstimate. On
+// error the Result holds the windows completed before it.
+func SampleRunCtx(ctx context.Context, cfg Config, spec SampleSpec, probe *Probe, w Workload) (Result, error) {
+	rs, err := sampleRuns(ctx, []Config{cfg}, spec, probe, w)
+	return rs[0], err
+}
+
+// sampleRuns is the one window loop: a single functional pass over w
+// (with cfgs[0]'s budget and unaligned-access setting) and, at every
+// sampling position, one detailed window per configuration over the
+// identical architectural state, each adding to its SampleRunCtx Result.
+func sampleRuns(ctx context.Context, cfgs []Config, spec SampleSpec, probe *Probe, w Workload) ([]Result, error) {
+	out := make([]Result, len(cfgs))
+	for i := range out {
+		out[i].Stats = stats.NewSet()
+	}
+	if err := spec.validate(); err != nil {
+		return out, err
+	}
+	img, err := w.Build(mem.NewPhysical(), 1)
+	if err != nil {
+		return out, fmt.Errorf("core: building %s: %w", w.Name(), err)
+	}
+	eng, err := fastpath.New(img, fastpath.Options{Unaligned: cfgs[0].TrapUnaligned})
+	if err != nil {
+		return out, err
+	}
+	budget := cfgs[0].MaxInsts
 	detail := spec.Warmup + spec.Window
-	var ds, ms []float64
 	pos := uint64(0)
 	for pos < budget && !eng.Halted() {
 		if pos+detail <= budget {
-			subj, err := runDetailedWindow(ctx, cfg, eng, spec)
-			if err != nil {
-				return out, fmt.Errorf("core: window %d (subject): %w", len(ds), err)
-			}
-			perf, err := runDetailedWindow(ctx, pcfg, eng, spec)
-			if err != nil {
-				return out, fmt.Errorf("core: window %d (perfect): %w", len(ds), err)
-			}
-			out.DetailedInsts += subj.warmInsts + subj.insts + perf.warmInsts + perf.insts
-			if subj.insts > 0 {
-				ds = append(ds, float64(int64(subj.cycles)-int64(perf.cycles)))
-				ms = append(ms, float64(subj.misses))
-				out.MeasuredInsts += subj.insts
-				out.MeasuredMisses += subj.misses
+			for i, cfg := range cfgs {
+				if err := runDetailedWindow(ctx, cfg, eng, spec, probe, &out[i]); err != nil {
+					return out, fmt.Errorf("core: window %d (%s): %w", out[i].Stats.Get("sample.windows"), cfg.Mech, err)
+				}
 			}
 		}
 		step := spec.Period
@@ -155,16 +169,48 @@ func SampleCompareCtx(ctx context.Context, cfg Config, spec SampleSpec, w Worklo
 			break // halted
 		}
 	}
-	out.TotalInsts = eng.Steps()
-	out.Windows = len(ds)
+	// The functional run is shared: its length goes on cfgs[0]'s
+	// Result, the one SampleRunCtx returns and SampledEstimate reads.
+	out[0].Stats.Counter("sample.total_insts").Value = eng.Steps()
+	return out, nil
+}
 
-	var dSum, mSum float64
-	for i := range ds {
-		dSum += ds[i]
-		mSum += ms[i]
+// windowCounter names one per-window counter of a sampled Result.
+func windowCounter(i uint64, what string) string {
+	return fmt.Sprintf("sample.w%04d.%s", i, what)
+}
+
+// SampledEstimate pairs a sampled subject run with its perfect-TLB
+// baseline (two SampleRunCtx Results over the same workload and spec)
+// window by window. Per-window penalty cycles d_i (subject minus
+// perfect window cycles) and committed fills m_i of the windows that
+// retired instructions feed the ratio estimator p = Σd/Σm, whose
+// standard error comes from the delta method over the window
+// residuals e_i = d_i − p·m_i. Spec is left for the caller to fill.
+func SampledEstimate(subj, perf Result) SampledComparison {
+	st, pt := subj.Stats, perf.Stats
+	out := SampledComparison{
+		TotalInsts:    st.Get("sample.total_insts"),
+		DetailedInsts: st.Get("sample.detailed_insts") + pt.Get("sample.detailed_insts"),
 	}
+	var ds, ms []float64
+	var dSum float64
+	for i := uint64(0); i < st.Get("sample.windows"); i++ {
+		insts, misses := st.Get(windowCounter(i, "insts")), st.Get(windowCounter(i, "misses"))
+		if insts == 0 {
+			continue
+		}
+		ds = append(ds, float64(int64(st.Get(windowCounter(i, "cycles")))-int64(pt.Get(windowCounter(i, "cycles")))))
+		ms = append(ms, float64(misses))
+		dSum += ds[len(ds)-1]
+		out.MeasuredInsts += insts
+		out.MeasuredMisses += misses
+	}
+	out.Windows = len(ds)
+	// The misses are integers, so their float sum is exact.
+	mSum := float64(out.MeasuredMisses)
 	if mSum == 0 {
-		return out, nil
+		return out
 	}
 	p := dSum / mSum
 	out.PenaltyPerMiss = p
@@ -181,34 +227,28 @@ func SampleCompareCtx(ctx context.Context, cfg Config, spec SampleSpec, w Worklo
 	} else {
 		out.CI95 = math.Inf(1)
 	}
-	return out, nil
-}
-
-// windowStats are the counter deltas of one detailed stretch.
-type windowStats struct {
-	warmInsts uint64 // instructions retired during warm-up
-	insts     uint64 // instructions retired in the measured window
-	cycles    uint64 // cycles spent in the measured window
-	misses    uint64 // committed fills in the measured window
+	return out
 }
 
 // runDetailedWindow transfers the engine's architectural state into a
 // fresh cycle-accurate machine, runs the warm-up prefix, snapshots
-// the counters, continues through the measured window, and returns
-// the deltas. The engine is not advanced.
-func runDetailedWindow(ctx context.Context, cfg Config, eng *fastpath.Engine, spec SampleSpec) (windowStats, error) {
+// the counters, continues through the measured window, and adds the
+// window's deltas to r as SampleRunCtx describes. The engine is not
+// advanced.
+func runDetailedWindow(ctx context.Context, cfg Config, eng *fastpath.Engine, spec SampleSpec, probe *Probe, r *Result) error {
 	detail := spec.Warmup + spec.Window
 	wcfg := cfg
 	wcfg.MaxInsts = detail
 	wcfg.MaxCycles = 400*detail + 500_000
 	m := cpu.New(wcfg)
 	m.SetCancel(ctx)
+	m.SetProbe(probe)
 	img, err := transferImage(eng, m.Phys())
 	if err != nil {
-		return windowStats{}, err
+		return err
 	}
 	if _, err := m.AddProgramAt(img, eng.PC(), eng.Regs()); err != nil {
-		return windowStats{}, err
+		return err
 	}
 	// The functional tier stands in for the OS having run this far:
 	// page-table entries start cache-warm, as in full runs.
@@ -216,19 +256,24 @@ func runDetailedWindow(ctx context.Context, cfg Config, eng *fastpath.Engine, sp
 	var warm cpu.Result
 	if spec.Warmup > 0 {
 		if warm, err = m.RunUntil(spec.Warmup); err != nil {
-			return windowStats{}, err
+			return err
 		}
 	}
 	full, err := m.RunUntil(detail)
 	if err != nil {
-		return windowStats{}, err
+		return err
 	}
-	return windowStats{
-		warmInsts: warm.AppInsts,
-		insts:     full.AppInsts - warm.AppInsts,
-		cycles:    full.Cycles - warm.Cycles,
-		misses:    full.DTLBMisses - warm.DTLBMisses,
-	}, nil
+	insts, cycles, misses := full.AppInsts-warm.AppInsts, full.Cycles-warm.Cycles, full.DTLBMisses-warm.DTLBMisses
+	r.AppInsts += insts
+	r.Cycles += cycles
+	r.DTLBMisses += misses
+	n := r.Stats.Counter("sample.windows")
+	r.Stats.Counter(windowCounter(n.Value, "insts")).Value = insts
+	r.Stats.Counter(windowCounter(n.Value, "cycles")).Value = cycles
+	r.Stats.Counter(windowCounter(n.Value, "misses")).Value = misses
+	n.Value++
+	r.Stats.Counter("sample.detailed_insts").Value += full.AppInsts
+	return nil
 }
 
 // transferImage rebuilds the engine's program image over a fresh

@@ -113,13 +113,21 @@ func workloadKeys(loads []core.Workload) []string {
 	return keys
 }
 
-// runKey fingerprints one simulation: the full configuration plus the
-// canonical workload identities. Everything that affects the
-// deterministic simulator's output is a value field of Config, so the
-// formatted struct is a faithful identity.
-func runKey(cfg core.Config, loads []core.Workload) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v|%s", cfg, strings.Join(workloadKeys(loads), ","))))
+// runKey fingerprints one simulation: the full configuration, the
+// canonical workload identities and the sampling spec. Everything
+// that affects the deterministic simulator's output is a value field
+// of Config, so the formatted struct is a faithful identity.
+func runKey(cfg core.Config, spec core.SampleSpec, loads []core.Workload) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v|%s%s", cfg, strings.Join(workloadKeys(loads), ","), specKey(spec))))
 	return hex.EncodeToString(sum[:8])
+}
+
+// specKey is the fingerprint suffix of a sampled run; exact runs have none.
+func specKey(spec core.SampleSpec) string {
+	if spec == (core.SampleSpec{}) {
+		return ""
+	}
+	return "|sample=" + spec.String()
 }
 
 // panicError carries a recovered panic value and its stack as an
@@ -149,6 +157,9 @@ type CellError struct {
 	// Cores is the shared-L2 cluster width of the subject run; 0 or 1
 	// means an ordinary single-machine simulation.
 	Cores int
+	// Sample is the sampling spec of a sampled-mode cell (zero when
+	// the cell simulated exactly).
+	Sample core.SampleSpec
 	// Fingerprint is the subject simulation's journal key, "" if
 	// unknown.
 	Fingerprint string
@@ -205,6 +216,9 @@ func (e *CellError) Repro() string {
 	fmt.Fprintf(&sb, " -idle %d -insts %d", idle, cfg.MaxInsts)
 	fmt.Fprintf(&sb, " -width %d -window %d -depth %d -dtlb %d",
 		cfg.Width, cfg.WindowSize, cfg.PipeDepth(), cfg.DTLBEntries)
+	if e.Sample != (core.SampleSpec{}) {
+		fmt.Fprintf(&sb, " -sample %s", e.Sample)
+	}
 	if cfg.QuickStart {
 		sb.WriteString(" -quickstart")
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mtexc/internal/core"
@@ -59,6 +60,11 @@ type Options struct {
 	// Meter, when non-nil, accumulates completion progress for
 	// throughput/ETA progress lines and the final run summary.
 	Meter *telemetry.Meter
+	// Sample, when non-zero, runs Figure 5 in core.SampleRunCtx's
+	// windows, with confidence columns (CI95Col), as experiment
+	// "Figure5Sampled"; any other experiment's cells fail. The zero
+	// value means exact simulation.
+	Sample core.SampleSpec
 }
 
 func (o Options) insts() uint64 {
@@ -100,16 +106,25 @@ func newRunner(opt Options, exp string) *runner {
 	if bc == nil {
 		bc = NewBaselineCache()
 	}
+	if opt.sampled() {
+		exp += "Sampled"
+	}
 	return &runner{opt: opt, exp: exp, base: bc, journal: opt.Journal, failSpec: failCellSpec()}
 }
 
+func (o Options) sampled() bool { return o.Sample != (core.SampleSpec{}) }
+
 // run simulates one machine with the workloads on its hardware
-// contexts, through simulate.
+// contexts through simulate, in sampled mode only in its windows.
 func (r *runner) run(c *cell, cfg core.Config, loads ...core.Workload) (core.Result, error) {
-	return r.simulate(c, runKey(cfg, loads), cfg, 1, loads,
+	return r.simulate(c, runKey(cfg, r.opt.Sample, loads), cfg, 1, loads,
 		func(ctx context.Context, probe *core.Probe) (core.Result, uint64, error) {
-			res, err := core.RunObserved(ctx, cfg, probe, loads...)
-			return res, res.AppInsts, err
+			if !r.opt.sampled() {
+				res, err := core.RunObserved(ctx, cfg, probe, loads...)
+				return res, res.AppInsts, err
+			}
+			res, err := core.SampleRunCtx(ctx, cfg, r.opt.Sample, probe, loads[0])
+			return res, res.Stats.Get("sample.detailed_insts"), err
 		})
 }
 
@@ -224,14 +239,14 @@ func mixKey(benches []*workload.Bench) string {
 
 // shapeKey identifies a perfect-TLB baseline: the full configuration
 // with the exception-architecture fields normalized away. Every other
-// field (machine shape, predictor, knobs, workload mix) must match,
-// or penalties would conflate mechanism cost with configuration
-// differences.
-func shapeKey(cfg core.Config, benches []*workload.Bench) string {
+// field (machine shape, predictor, knobs, workload mix, sampling
+// spec) must match, or penalties would conflate mechanism cost with
+// configuration differences.
+func shapeKey(cfg core.Config, spec core.SampleSpec, benches []*workload.Bench) string {
 	cfg.Mech = core.MechPerfect
 	cfg.QuickStart = false
 	cfg.Limit = core.LimitNone
-	return fmt.Sprintf("%s|%+v", mixKey(benches), cfg)
+	return fmt.Sprintf("%s|%+v%s", mixKey(benches), cfg, specKey(spec))
 }
 
 func asWorkloads(benches []*workload.Bench) []core.Workload {
@@ -257,7 +272,7 @@ func (r *runner) compare(c *cell, cfg core.Config, benches ...*workload.Bench) (
 	// worker's run charge the wait.
 	ranBaseline := false
 	endWait := c.telemetry().BaselineWaitBegin()
-	perf, err := r.base.get(shapeKey(cfg, benches), func() (core.Result, error) {
+	perf, err := r.base.get(shapeKey(cfg, r.opt.Sample, benches), func() (core.Result, error) {
 		ranBaseline = true
 		c.telemetry().BaselineRan()
 		pcfg := cfg
@@ -410,20 +425,53 @@ func Figure5(opt Options) (*Table, error) {
 	for i, c := range configs {
 		cols[i] = c.name
 	}
-	t := NewTable("Figure 5: TLB miss penalty by exception architecture (penalty cycles/miss)", names(benches), cols)
+	title := "Figure 5"
+	sampled := opt.sampled()
+	if sampled {
+		title += fmt.Sprintf(" (sampled %s)", opt.Sample)
+		for _, c := range configs {
+			cols = append(cols, CI95Col(c.name))
+		}
+	}
+	t := NewTable(title+": TLB miss penalty by exception architecture (penalty cycles/miss)", names(benches), cols)
+	// Functional and cycle-accurate instructions, for the cost note.
+	var total, detailed atomic.Uint64
 	err = r.forEach(len(benches)*len(configs), func(c *cell) error {
 		bi, ci := c.index/len(configs), c.index%len(configs)
 		cmp, err := r.compare(c, configs[ci].cfg, benches[bi])
 		if err != nil {
 			return err
 		}
-		t.Set(bi, ci, cmp.PenaltyPerMiss())
+		if !sampled {
+			t.Set(bi, ci, cmp.PenaltyPerMiss())
+			return nil
+		}
+		s := core.SampledEstimate(cmp.Subject, cmp.Perfect)
+		t.Set(bi, ci, s.PenaltyPerMiss)
+		t.Set(bi, len(configs)+ci, s.CI95)
+		total.Add(s.TotalInsts)
+		detailed.Add(s.DetailedInsts)
 		return nil
 	})
-	markFailedCells(t, err, func(i int) [][2]int { return one(i/len(configs), i%len(configs)) })
+	// A failed cell poisons its CI column too (MarkFailed skips absent columns).
+	markFailedCells(t, err, func(i int) [][2]int {
+		bi, ci := i/len(configs), i%len(configs)
+		return [][2]int{{bi, ci}, {bi, len(configs) + ci}}
+	})
 	t.AddAverageRow()
+	if sampled {
+		t.Note = "±: 95% confidence half-width of each estimate"
+	}
+	if sampled && err == nil { // exact comparisons simulate every inst twice
+		t.Note += fmt.Sprintf("; %d of %d insts cycle-accurate (%.1f%% of the exact-comparison work)",
+			detailed.Load(), 2*total.Load(), 100*float64(detailed.Load())/float64(2*total.Load()))
+	}
 	return t, err
 }
+
+// CI95Col names the column of a sampled Figure 5 that holds the 95%
+// confidence half-width of estimate column col.
+func CI95Col(col string) string { return "±" + col }
 
 func names(benches []*workload.Bench) []string {
 	ns := make([]string, len(benches))

@@ -136,7 +136,7 @@ func RunFaultCampaign(opt Options, fc FaultCampaign) (*faultinject.Report, error
 		load := fiWorkload{FuzzProg: fw, class: class, trials: fc.Trials,
 			seed: fc.Seed, frac: fc.WindowFrac}
 		loads := []core.Workload{load}
-		key := runKey(cfg, loads)
+		key := runKey(cfg, core.SampleSpec{}, loads)
 		c.describe(cfg, 1, loads, key)
 		if r.failSpec != "" && injectedFailure(r.exp, r.failSpec, c.index) {
 			panic(fmt.Sprintf("injected failure (%s=%q)", FailCellEnv, r.failSpec))

@@ -55,6 +55,7 @@ func campaignText(t *testing.T, opt Options, fc FaultCampaign) string {
 // TestFaultCampaignParallelismIndependence: the rendered report is
 // byte-identical at any worker count.
 func TestFaultCampaignParallelismIndependence(t *testing.T) {
+	t.Parallel()
 	serial := campaignText(t, Options{Parallelism: 1}, smallCampaign())
 	parallel := campaignText(t, Options{Parallelism: 4}, smallCampaign())
 	if serial != parallel {
@@ -70,6 +71,7 @@ func TestFaultCampaignParallelismIndependence(t *testing.T) {
 // cell from the journal — zero new appends — and renders the
 // byte-identical report.
 func TestFaultCampaignJournalResume(t *testing.T) {
+	t.Parallel()
 	path := filepath.Join(t.TempDir(), "fi.journal")
 
 	j1, err := OpenJournal(path, false)
@@ -103,6 +105,7 @@ func TestFaultCampaignJournalResume(t *testing.T) {
 // explores different flips (the report or the journaled plans must
 // differ).
 func TestFaultCampaignSeedChangesPlans(t *testing.T) {
+	t.Parallel()
 	fc := smallCampaign()
 	rep1, err := RunFaultCampaign(Options{Parallelism: 2}, fc)
 	if err != nil {
@@ -145,6 +148,7 @@ func TestFaultCampaignCellFailureIsolated(t *testing.T) {
 // TestFaultCampaignContextCancel: a cancelled context stops the
 // campaign with a context error instead of running the full grid.
 func TestFaultCampaignContextCancel(t *testing.T) {
+	t.Parallel()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := RunFaultCampaign(Options{Parallelism: 1, Context: ctx}, smallCampaign())
@@ -175,6 +179,7 @@ func testResult() core.Result {
 // retried (after the jittered backoff), counted, and the entry still
 // lands — prefixed by the isolating newline.
 func TestJournalWriteRetryRecovers(t *testing.T) {
+	t.Parallel()
 	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.ndjson"), false)
 	if err != nil {
 		t.Fatal(err)
@@ -200,6 +205,7 @@ func TestJournalWriteRetryRecovers(t *testing.T) {
 // TestJournalWriteRetryFailsLoudly: a second consecutive failure is
 // not absorbed.
 func TestJournalWriteRetryFailsLoudly(t *testing.T) {
+	t.Parallel()
 	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.ndjson"), false)
 	if err != nil {
 		t.Fatal(err)
@@ -220,6 +226,7 @@ func TestJournalWriteRetryFailsLoudly(t *testing.T) {
 // watchdog reproduces only under the limit that killed it, so the
 // repro line must carry -noprogress.
 func TestReproCarriesWatchdogLimit(t *testing.T) {
+	t.Parallel()
 	cfg := core.DefaultConfig()
 	cfg.NoProgressLimit = 200_000
 	ce := &CellError{
@@ -244,6 +251,7 @@ func TestReproCarriesWatchdogLimit(t *testing.T) {
 // TestReproCarriesCellTimeout: a cell killed by the per-cell deadline
 // carries the effective -cell-timeout; other failures do not.
 func TestReproCarriesCellTimeout(t *testing.T) {
+	t.Parallel()
 	cfg := core.DefaultConfig()
 	ce := &CellError{
 		Experiment: "Test", Index: 0, Config: &cfg,

@@ -3,6 +3,7 @@ package harness
 import "testing"
 
 func TestGeneralizedShape(t *testing.T) {
+	t.Parallel()
 	tab, err := Generalized(Options{Insts: 150_000})
 	if err != nil {
 		t.Fatal(err)

@@ -53,10 +53,11 @@ func compareGolden(t *testing.T, name string, got []byte) {
 // invalidates every journal in the field. The grid below touches
 // every Config field the experiment suite mutates.
 func TestGoldenRunKeys(t *testing.T) {
+	t.Parallel()
 	r := newRunner(Options{Insts: 1_000_000}, "golden")
 	var buf bytes.Buffer
 	add := func(name string, cfg core.Config, benches ...*workload.Bench) {
-		fmt.Fprintf(&buf, "%-32s %s\n", name, runKey(cfg, asWorkloads(benches)))
+		fmt.Fprintf(&buf, "%-32s %s\n", name, runKey(cfg, core.SampleSpec{}, asWorkloads(benches)))
 	}
 
 	pick := func(name string) *workload.Bench {
@@ -129,6 +130,7 @@ func TestGoldenRunKeys(t *testing.T) {
 // experiment tables — cycle-level behavioral drift in the core shows
 // up here as a numeric diff even when the fingerprints are stable.
 func TestGoldenTables(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("golden tables simulate a few hundred thousand instructions")
 	}

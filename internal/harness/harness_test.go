@@ -14,6 +14,7 @@ var fastOpt = Options{
 }
 
 func TestTableBasics(t *testing.T) {
+	t.Parallel()
 	tab := NewTable("T", []string{"r1", "r2"}, []string{"c1", "c2"})
 	tab.Set(0, 1, 3.5)
 	if tab.Get(0, 1) != 3.5 {
@@ -47,6 +48,7 @@ func TestTableBasics(t *testing.T) {
 }
 
 func TestTableCellPanicsOnUnknown(t *testing.T) {
+	t.Parallel()
 	defer func() {
 		if recover() == nil {
 			t.Error("Cell on unknown name did not panic")
@@ -56,6 +58,7 @@ func TestTableCellPanicsOnUnknown(t *testing.T) {
 }
 
 func TestOptionsSuiteSelection(t *testing.T) {
+	t.Parallel()
 	benches, err := Options{Benchmarks: []string{"cmp", "vortex"}}.suite()
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +75,7 @@ func TestOptionsSuiteSelection(t *testing.T) {
 // fast subset: traditional > multithreaded(1) >= multithreaded(3) >
 // hardware, and multithreaded roughly halves the traditional penalty.
 func TestFigure5Shape(t *testing.T) {
+	t.Parallel()
 	tab, err := Figure5(fastOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +102,7 @@ func TestFigure5Shape(t *testing.T) {
 // TestFigure2Slope: the traditional penalty must grow with pipeline
 // depth, roughly linearly (the paper's slope is ~2 cycles per stage).
 func TestFigure2Slope(t *testing.T) {
+	t.Parallel()
 	tab, err := Figure2(fastOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +123,7 @@ func TestFigure2Slope(t *testing.T) {
 // TestFigure3Trend: wider machines spend a larger fraction of time on
 // TLB handling (normalized to the 2-wide machine).
 func TestFigure3Trend(t *testing.T) {
+	t.Parallel()
 	tab, err := Figure3(fastOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +142,7 @@ func TestFigure3Trend(t *testing.T) {
 // TestTable3Shape: removing fetch/decode latency (instant fetch) must
 // be the dominant limit study, as the paper found.
 func TestTable3Shape(t *testing.T) {
+	t.Parallel()
 	tab, err := Table3(fastOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -161,6 +168,7 @@ func TestTable3Shape(t *testing.T) {
 // TestFigure6QuickStart: quick-start improves on plain multithreaded
 // handling for the fast subset average.
 func TestFigure6QuickStart(t *testing.T) {
+	t.Parallel()
 	tab, err := Figure6(fastOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -180,6 +188,7 @@ func TestFigure6QuickStart(t *testing.T) {
 // SMT, multithreaded handling still beats traditional, with a smaller
 // margin than single-threaded (the paper reports ~25%).
 func TestFigure7Multiprogrammed(t *testing.T) {
+	t.Parallel()
 	opt := Options{
 		Insts: 240_000,
 		Mixes: [][3]string{{"cmp", "vor", "mph"}, {"adm", "cmp", "vor"}},
@@ -200,6 +209,7 @@ func TestFigure7Multiprogrammed(t *testing.T) {
 // TLB-heavy benchmarks relative to traditional, and perfect must be
 // the best.
 func TestTable4Speedups(t *testing.T) {
+	t.Parallel()
 	tab, err := Table4(Options{Insts: 150_000, Benchmarks: []string{"cmp", "vor"}})
 	if err != nil {
 		t.Fatal(err)
@@ -225,6 +235,7 @@ func TestTable4Speedups(t *testing.T) {
 // TestTable2Summary reports the suite summary and sanity-checks the
 // scaled miss counts against Table 2's ordering (compress heaviest).
 func TestTable2Summary(t *testing.T) {
+	t.Parallel()
 	tab, err := Table2(Options{Insts: 150_000, Benchmarks: []string{"cmp", "gcc"}})
 	if err != nil {
 		t.Fatal(err)
@@ -238,6 +249,7 @@ func TestTable2Summary(t *testing.T) {
 // TestAblations: the Section 4 design-choice ablations run and the
 // longer handler costs more.
 func TestAblations(t *testing.T) {
+	t.Parallel()
 	tab, err := Ablations(Options{Insts: 150_000, Benchmarks: []string{"cmp", "vor"}})
 	if err != nil {
 		t.Fatal(err)
@@ -261,6 +273,7 @@ func TestAblations(t *testing.T) {
 }
 
 func TestTableCSV(t *testing.T) {
+	t.Parallel()
 	tab := NewTable("T", []string{"a", "b"}, []string{"x", "y"})
 	tab.Set(0, 0, 1.5)
 	tab.Set(1, 1, -2)

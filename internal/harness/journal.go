@@ -50,10 +50,6 @@ type Journal struct {
 	retries atomic.Uint64
 }
 
-// journalScanCap bounds one journal line; entries are a few KB of
-// counters, so 1MB is generous.
-const journalScanCap = 1 << 20
-
 // OpenJournal opens (creating if needed) the NDJSON journal at path.
 // With resume set, existing entries are loaded and later lookups hit
 // them; without it the file is truncated, so a fresh suite never
@@ -75,21 +71,22 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 	}
 	j := &Journal{f: f, w: f, entries: make(map[string]*JournalEntry)}
 	if resume {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 64*1024), journalScanCap)
-		for sc.Scan() {
+		// Lines are read whole: a sampled run journals three counters per window.
+		rd := bufio.NewReader(f)
+		for {
+			line, err := rd.ReadBytes('\n')
 			var e JournalEntry
-			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-				continue // torn or foreign line
+			// Torn and foreign lines fail to decode and are skipped.
+			if json.Unmarshal(line, &e) == nil && e.Schema == obs.SchemaVersion && e.Key != "" {
+				j.entries[e.Key] = &e
 			}
-			if e.Schema != obs.SchemaVersion || e.Key == "" {
-				continue
+			if err == io.EOF {
+				break
 			}
-			j.entries[e.Key] = &e
-		}
-		if err := sc.Err(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("harness: reading journal: %w", err)
+			if err != nil {
+				f.Close()
+				return nil, fmt.Errorf("harness: reading journal: %w", err)
+			}
 		}
 		// A kill mid-Write can leave a torn final line with no
 		// newline. Terminate it so the next append starts a fresh

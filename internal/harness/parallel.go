@@ -108,6 +108,9 @@ func (r *runner) forEach(n int, body func(c *cell) error) error {
 					err = &panicError{val: v, stack: debug.Stack()}
 				}
 			}()
+			if r.opt.sampled() && r.exp != "Figure5Sampled" {
+				return errors.New("harness: only Figure 5 has a sampled mode")
+			}
 			return body(c)
 		}()
 		if err != nil {
@@ -193,6 +196,7 @@ func (r *runner) cellError(c *cell, err error) *CellError {
 		Config:      cfg,
 		Workloads:   loads,
 		Cores:       c.clusterWidth(),
+		Sample:      r.opt.Sample,
 		Fingerprint: key,
 		Timeout:     r.opt.CellTimeout,
 		Cause:       err,

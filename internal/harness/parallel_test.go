@@ -14,6 +14,7 @@ import (
 // same simulation — so serial and parallel tables render identically,
 // byte for byte.
 func TestParallelMatchesSerial(t *testing.T) {
+	t.Parallel()
 	base := Options{Insts: 40_000, Benchmarks: []string{"cmp", "vor"}}
 	experiments := []struct {
 		name string
@@ -48,6 +49,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // exactly once per invocation, no matter how many cells (or repeat
 // experiments) ask for it concurrently.
 func TestBaselineCacheSingleflight(t *testing.T) {
+	t.Parallel()
 	cache := NewBaselineCache()
 	opt := Options{
 		Insts:       30_000,
@@ -76,6 +78,7 @@ func TestBaselineCacheSingleflight(t *testing.T) {
 // forEach must visit every index exactly once, keep running every
 // cell when some fail, and aggregate the failures in index order.
 func TestForEach(t *testing.T) {
+	t.Parallel()
 	r := newRunner(Options{Parallelism: 4}, "TestForEach")
 	var mu sync.Mutex
 	seen := make(map[int]int)
@@ -149,6 +152,7 @@ func TestForEach(t *testing.T) {
 // Progress lines from concurrent completions must never interleave
 // mid-line: each write delivers one or more complete lines.
 func TestProgressLinesNotTorn(t *testing.T) {
+	t.Parallel()
 	var buf lineCheckWriter
 	opt := Options{
 		Insts:       30_000,

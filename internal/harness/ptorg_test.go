@@ -3,6 +3,7 @@ package harness
 import "testing"
 
 func TestPTOrganization(t *testing.T) {
+	t.Parallel()
 	tab, err := PTOrganization(Options{Insts: 150_000, Benchmarks: []string{"cmp", "mph"}})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 // scale. It is the most expensive test in the suite and is skipped
 // under -short.
 func TestReportEndToEnd(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("report runs the whole evaluation")
 	}

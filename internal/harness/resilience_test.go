@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"mtexc/internal/core"
 	"mtexc/internal/cpu"
 	"mtexc/internal/diffsim"
 	"mtexc/internal/faultinject"
+	"mtexc/internal/stats"
 )
 
 // A failure injected into one cell must cost exactly that cell: the
@@ -79,6 +82,7 @@ func TestInjectedFailureIsolatedToCell(t *testing.T) {
 // the complete journal all render the same bytes — the last without
 // simulating anything.
 func TestResumeByteIdentical(t *testing.T) {
+	t.Parallel()
 	path := filepath.Join(t.TempDir(), "journal.ndjson")
 	opt := Options{Insts: 30_000, Benchmarks: []string{"cmp", "vor"}, Parallelism: 4}
 	run := func(resume bool) (*Table, *Journal) {
@@ -143,11 +147,44 @@ func TestResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestJournalResumesLongEntries: an entry far longer than a typical
+// line (a sampled run over thousands of windows) loads on resume.
+func TestJournalResumesLongEntries(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	j, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := stats.NewSet()
+	for i := 0; i < 20_000; i++ {
+		for _, what := range []string{"insts", "cycles", "misses"} {
+			set.Counter(fmt.Sprintf("sample.w%05d.%s", i, what)).Value = 123_456
+		}
+	}
+	if err := j.record("Figure5Sampled", "long", core.DefaultConfig(), []string{"mph"}, core.Result{Stats: set}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err = OpenJournal(path, true)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	defer j.Close()
+	res, ok := j.lookup("long")
+	if !ok || res.Stats.Get("sample.w19999.misses") != 123_456 {
+		t.Fatalf("long entry not resumed (found %v)", ok)
+	}
+}
+
 // A per-cell deadline must turn an overrunning simulation into an
 // ordinary failed cell wrapping context.DeadlineExceeded, on the
 // single-machine path and on the shared-L2 cluster path alike, and the
 // repro line of a timed-out cluster cell must carry the deadline.
 func TestCellTimeoutFailsCell(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		name string
 		run  func(Options) (*Table, error)
@@ -192,6 +229,7 @@ func TestCellTimeoutFailsCell(t *testing.T) {
 // the harness single-flights: shared baselines and the fault
 // campaign's reference runs and unfaulted baselines.
 func TestBaselinePanicPropagates(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		name string
 		run  func(t *testing.T)

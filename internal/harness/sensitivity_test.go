@@ -3,6 +3,7 @@ package harness
 import "testing"
 
 func TestTLBSweepInsensitivity(t *testing.T) {
+	t.Parallel()
 	tab, err := TLBSweep(Options{Insts: 200_000, Benchmarks: []string{"cmp", "vor"}})
 	if err != nil {
 		t.Fatal(err)
@@ -31,6 +32,7 @@ func TestTLBSweepInsensitivity(t *testing.T) {
 }
 
 func TestFaultInjection(t *testing.T) {
+	t.Parallel()
 	tab, err := FaultInjection(Options{Insts: 200_000})
 	if err != nil {
 		t.Fatal(err)

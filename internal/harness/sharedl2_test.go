@@ -11,6 +11,7 @@ import (
 // here is deliberately tiny — ordering claims need the full budget
 // and live in EXPERIMENTS.md, not in this suite).
 func TestSharedL2Shape(t *testing.T) {
+	t.Parallel()
 	tab, err := SharedL2(Options{Insts: 20_000})
 	if err != nil {
 		t.Fatal(err)
@@ -36,6 +37,7 @@ func TestSharedL2Shape(t *testing.T) {
 // round-robin cluster driver is deterministic and the tables are
 // assembled by cell index, not completion order.
 func TestSharedL2ParallelismIndependence(t *testing.T) {
+	t.Parallel()
 	serial, err := SharedL2(Options{Insts: 20_000, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 // attaching every telemetry surface must leave the rendered table
 // byte-identical to an uninstrumented run.
 func TestTelemetryDoesNotPerturbTables(t *testing.T) {
+	t.Parallel()
 	base := Options{
 		Insts:       30_000,
 		Benchmarks:  []string{"cmp", "vor"},
@@ -61,6 +62,7 @@ func TestTelemetryDoesNotPerturbTables(t *testing.T) {
 // build is the real assertion — and checks that the cell counters
 // observed across scrapes never step backwards.
 func TestTelemetryScrapeDuringRun(t *testing.T) {
+	t.Parallel()
 	plane := telemetry.NewPlane()
 	opt := Options{
 		Insts:       30_000,
@@ -151,6 +153,7 @@ func scrapeValue(exposition, name string) (float64, error) {
 }
 
 func TestCellStatusClassification(t *testing.T) {
+	t.Parallel()
 	timeout := &cpu.CancelledError{Cycle: 9, Cause: context.DeadlineExceeded}
 	for _, tc := range []struct {
 		err  error

@@ -3,6 +3,7 @@ package harness
 import "testing"
 
 func TestUnalignedShape(t *testing.T) {
+	t.Parallel()
 	tab, err := Unaligned(Options{Insts: 150_000})
 	if err != nil {
 		t.Fatal(err)

@@ -85,14 +85,9 @@ func (c *Cluster) Load(i int, w core.Workload) error {
 	// ASNs are per-core (private TLBs); each core's application runs
 	// under ASN 1 like a single-core run. Frames are cluster-unique
 	// via the shared allocator, so cores never alias L2 lines.
-	img, err := w.Build(c.phys, 1)
-	if err != nil {
-		return fmt.Errorf("topology: building %s for core %d: %w", w.Name(), i, err)
+	if err := core.Load(c.cores[i], 1, w); err != nil {
+		return fmt.Errorf("topology: core %d: %w", i, err)
 	}
-	if _, err := c.cores[i].AddProgram(img); err != nil {
-		return fmt.Errorf("topology: loading %s on core %d: %w", w.Name(), i, err)
-	}
-	c.cores[i].WarmPageTable(img.Space)
 	c.names[i] = w.Name()
 	return nil
 }
